@@ -53,23 +53,21 @@ type expander = {
   pipeline : Pipeline.t;
   engine : Scd_core.Engine.t;
   stride : int;  (* bytes per bytecode pc unit: 4 for the register VM, 1 for the stack VM *)
-  cs_interval : int option;
+  cs_interval : int option;  (* boxed path only; see [flush] *)
   multi_table : bool;
       (* Section IV: one (Rop, Rmask, Rbop-pc) set per dispatch site, each
          with its own branch-ID-tagged jump table. *)
   boxed : bool;
       (* Legacy event path: decode each tape cell into a boxed [Event.t] and
          feed {!Pipeline.consume}. Only the differential tests turn this on;
-         it must produce bit-identical results to the flat path. *)
-  rle : bool;
-      (* Emit straight-line plain instructions as one [tag_plain_run] cell
-         instead of one cell each. Off on the boxed path (runs have no boxed
-         form) and under a context-switch interval (retire bookkeeping is
-         counted per instruction at flush). *)
+         it must produce bit-identical results to the flat path. Runs have
+         no boxed form, so it emits plain instructions one cell each; the
+         flat paths emit a straight-line stretch as one [tag_plain_run]
+         cell. *)
   mutable prev_opcode : int;  (* -1 before the first dispatch *)
   last_bop_pcs : int array;  (* Rbop-pc, per branch ID *)
   mutable bytecodes : int;
-  mutable retired_since_cs : int;
+  mutable retired_since_cs : int;  (* boxed path only *)
   mutable epc : int;
       (* Emission cursor: the native PC the next emitted instruction will
          carry. A mutable field rather than a [ref] so positioning costs no
@@ -79,9 +77,6 @@ type expander = {
          current batch is four ints written in place, drained in order by
          the pipeline at the next flush point — no [Event.t] is allocated
          per instruction. *)
-  scratch : Event.scratch;
-      (* Decode staging for the context-switch flush loop, which must
-         interleave retire bookkeeping between cells. *)
   trap : (Event.tape -> unit) option;
       (* Test observer: called on every non-empty tape batch just before it
          is drained. [None] (the default) costs one field load per flush. *)
@@ -89,9 +84,9 @@ type expander = {
       (* Precompiled per-(site, opcode) cell templates: when present,
          [on_bytecode] stamps whole dispatcher / helper-call sequences with
          {!Event.tape_blit} and patches the run-dependent words, instead of
-         re-deriving every cell through the emit helpers. Only on the flat
-         RLE path ([`Flat], no context-switch interval); [`Flat_push] keeps
-         the cell-by-cell emission for differential testing. *)
+         re-deriving every cell through the emit helpers. Only on [`Flat];
+         [`Flat_push] keeps the cell-by-cell emission for differential
+         testing. *)
 }
 
 let table_of_site = function
@@ -116,35 +111,29 @@ let rop_ready exp =
    as if every event had been consumed at emission time: before every
    {!Scd_core.Engine.bop}/{!Scd_core.Engine.jru} (the engine reads and
    writes the shared BTB) and at the end of each bytecode. Under a
-   context-switch interval the retire bookkeeping runs between cells, so an
-   engine-triggered JTE flush lands at the exact event boundary it did when
-   events were consumed one at a time. *)
+   context-switch interval the engine's JTE flush lands after the exact
+   retired instruction it would with one-at-a-time consumption: on the flat
+   paths through the pipeline's retire boundary, which splits run cells
+   that cross it; on the boxed path through its own per-cell counter, the
+   independent reference the differential tests compare against. *)
 let flush exp =
   let tape = exp.tape in
   let cells = Event.tape_cells tape in
   if cells > 0 then begin
     (match exp.trap with None -> () | Some f -> f tape);
-    (match exp.cs_interval with
-     | None ->
-       if exp.boxed then
-         for i = 0 to cells - 1 do
-           Pipeline.consume exp.pipeline (Event.tape_to_event tape i)
-         done
-       else Pipeline.consume_tape exp.pipeline tape
-     | Some interval ->
-       for i = 0 to cells - 1 do
-         (if exp.boxed then
-            Pipeline.consume exp.pipeline (Event.tape_to_event tape i)
-          else begin
-            Event.tape_load_scratch tape i exp.scratch;
-            Pipeline.consume_scratch exp.pipeline exp.scratch
-          end);
-         exp.retired_since_cs <- exp.retired_since_cs + 1;
-         if exp.retired_since_cs >= interval then begin
-           exp.retired_since_cs <- 0;
-           Scd_core.Engine.retire exp.engine interval
-         end
-       done);
+    if exp.boxed then
+      for i = 0 to cells - 1 do
+        Pipeline.consume exp.pipeline (Event.tape_to_event tape i);
+        match exp.cs_interval with
+        | None -> ()
+        | Some interval ->
+          exp.retired_since_cs <- exp.retired_since_cs + 1;
+          if exp.retired_since_cs >= interval then begin
+            exp.retired_since_cs <- 0;
+            Scd_core.Engine.retire exp.engine interval
+          end
+      done
+    else Pipeline.consume_tape exp.pipeline tape;
     Event.tape_clear tape
   end
 
@@ -205,16 +194,17 @@ let emit_jru exp pc ~opcode ~target =
     ~arg1:target ~arg2:opcode
 
 (* Emit [n] consecutive plain instructions from the cursor: one
-   [tag_plain_run] cell on the RLE path, [n] plain cells otherwise. *)
+   [tag_plain_run] cell on the flat paths, [n] plain cells on the boxed
+   one. *)
 let emit_plain_run exp ~dispatch ~step n =
   if n > 0 then begin
-    (if exp.rle then
-       Event.tape_push_run exp.tape ~pc:exp.epc ~dispatch ~count:n
-         ~stride:step
-     else
+    (if exp.boxed then
        for k = 0 to n - 1 do
          emit_plain exp ~dispatch (exp.epc + (k * step))
-       done);
+       done
+     else
+       Event.tape_push_run exp.tape ~pc:exp.epc ~dispatch ~count:n
+         ~stride:step);
     exp.epc <- exp.epc + (n * step)
   end
 
@@ -359,8 +349,10 @@ let emit_blob_cells exp ~step (b : Spec.rt_blob) =
   emit_return exp exp.epc ~target:return_to
 
 (* Helper-call emission: one stamp plus three patched call-site words when
-   a template exists (every blob body is run-invariant — its data traffic
-   walks fixed stack slots), the cell-by-cell path otherwise. *)
+   templates are in use (every blob body is run-invariant — its data
+   traffic walks fixed stack slots), the cell-by-cell path otherwise.
+   [build_templates] enumerates [spec.blobs] and every builtin, so a
+   missing template is a bug there, not a case to paper over. *)
 let emit_blob exp ~step (b : Spec.rt_blob) =
   match exp.templates with
   | None -> emit_blob_cells exp ~step b
@@ -370,9 +362,9 @@ let emit_blob exp ~step (b : Spec.rt_blob) =
        Template.stamp_blob exp.tape t ~call_pc:exp.epc
          ~link:(exp.epc + step)
      | exception Not_found ->
-       (* A blob id outside the builder's enumeration (defensive: the
-          builder covers [spec.blobs] and every builtin). *)
-       emit_blob_cells exp ~step b)
+       invalid_arg
+         (Printf.sprintf "Driver.emit_blob: no template for blob %d"
+            b.blob_id))
 
 (* Handler body for one bytecode event. *)
 let emit_handler exp (tr : Trace.t) =
@@ -425,8 +417,8 @@ let dispatch_site exp =
   if exp.prev_opcode < 0 then Layout.Common_site
   else Layout.site_of_opcode exp.layout exp.prev_opcode
 
-(* Cell-by-cell dispatch emission (no templates, or the [`Flat_push] /
-   boxed / context-switch paths). *)
+(* Cell-by-cell dispatch emission (no templates: the [`Flat_push] and
+   boxed paths). *)
 let push_dispatch exp ~opcode ~fetch_addr =
   match exp.scheme with
   | Scd_core.Scheme.Jump_threading ->
@@ -562,15 +554,13 @@ let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
       stride = 1 (* never used: the builder sees no bytecode fetches *);
       cs_interval = None;
       multi_table = false;
-      boxed = false;
-      rle = true (* templates serve the RLE flat path only *);
+      boxed = false (* templates serve the flat path only *);
       prev_opcode = -1;
       last_bop_pcs = Array.make 3 (-1);
       bytecodes = 0;
       retired_since_cs = 0;
       epc = 0;
       tape = Event.tape_create ~capacity:256 ();
-      scratch = Event.scratch_create ();
       trap = None;
       templates = None (* the builder itself emits cell by cell *);
     }
@@ -689,15 +679,10 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
           ~fn_code_sizes:(F.fn_code_sizes program)
           ~fn_const_counts:(F.fn_const_counts program))
   in
-  let rle =
-    (event_path = `Flat || event_path = `Flat_push)
-    && config.context_switch_interval = None
-  in
   let templates =
-    (* Stamping requires the RLE cell shapes and per-bytecode flushes
-       ([`Flat] only); [`Flat_push] deliberately keeps the cell-by-cell
-       emitters alive for word-for-word differential testing. *)
-    if event_path = `Flat && rle then
+    (* [`Flat_push] deliberately keeps the cell-by-cell emitters alive for
+       word-for-word differential testing against the stamps. *)
+    if event_path = `Flat then
       Some
         (Scd_obs.Prof.span "templates" (fun () ->
              Template.find_or_build ~spec ~scheme:config.scheme (fun () ->
@@ -716,18 +701,21 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
       cs_interval = config.context_switch_interval;
       multi_table = config.multi_table;
       boxed = event_path = `Boxed;
-      rle;
       prev_opcode = -1;
       last_bop_pcs = Array.make 3 (-1);
       bytecodes = 0;
       retired_since_cs = 0;
       epc = 0;
       tape = Event.tape_create ~capacity:256 ();
-      scratch = Event.scratch_create ();
       trap = tape_trap;
       templates;
     }
   in
+  (match config.context_switch_interval with
+   | Some interval when not exp.boxed ->
+     Pipeline.set_retire_boundary pipeline ~every:interval (fun () ->
+         Scd_core.Engine.retire engine interval)
+   | _ -> ());
   let ctx = Builtins.create_ctx ~seed:config.seed () in
   Scd_obs.Prof.span "execute" (fun () ->
       F.run program ~ctx ~trace:(trace_callback exp telemetry));

@@ -87,11 +87,16 @@ val run :
     per-(site, opcode) cell templates ({!Scd_codegen.Template}), patching
     only the run-dependent words. [`Flat_push] uses the same tape but
     derives every cell through the cell-by-cell emitters; the differential
-    tests compare the two tapes word for word. [`Boxed] decodes every tape
-    cell into a boxed {!Scd_isa.Event.t} and feeds
-    {!Scd_uarch.Pipeline.consume}: the legacy delivery path, kept so the
-    differential tests can assert all paths produce bit-identical
-    results.
+    tests compare the two tapes word for word. Both flat paths encode
+    straight-line code as run-length cells, also under a
+    [context_switch_interval]: the interval is armed as the pipeline's
+    retire boundary ({!Scd_uarch.Pipeline.set_retire_boundary}), which
+    splits a run cell at the exact instruction where the JTE flush falls.
+    [`Boxed] decodes every tape cell into a boxed {!Scd_isa.Event.t}, one
+    cell per instruction, feeds {!Scd_uarch.Pipeline.consume} and counts
+    retired instructions for the context-switch model itself: the legacy
+    delivery path, kept so the differential tests can assert all paths
+    produce bit-identical results.
 
     [telemetry], when given, is attached for the duration of the run: the
     pipeline probe samples interval time series, and every bytecode's

@@ -231,34 +231,13 @@ let tape_set_word tape i v = tape.buf.(i) <- v
 let tape_snapshot tape ~from =
   Array.sub tape.buf from (tape.len - from)
 
-(* Raw cell accessors, for consumers that dispatch on the tag before paying
-   for a full scratch decode (the plain-run fast path). *)
+(* Raw cell accessors, for tests that inspect a batch cell by cell. *)
 let tape_cell_tag tape i = tape.buf.((i * cell_words) + 1) land 0xF
 let tape_cell_pc tape i = tape.buf.(i * cell_words)
 let tape_cell_dispatch tape i =
   tape.buf.((i * cell_words) + 1) land flag_dispatch <> 0
 let tape_cell_arg1 tape i = tape.buf.((i * cell_words) + 2)
 let tape_cell_arg2 tape i = tape.buf.((i * cell_words) + 3)
-
-(* Decode cell [i] into a scratch record. [arg1]/[arg2] are stored into
-   both fields they can mean (branch-free); consumers only read the fields
-   the tag defines, as documented on {!type-scratch}. *)
-let tape_load_scratch tape i (s : scratch) =
-  let base = i * cell_words in
-  let buf = tape.buf in
-  s.s_pc <- buf.(base);
-  let flags = buf.(base + 1) in
-  s.s_tag <- flags land 0xF;
-  s.s_dispatch <- flags land flag_dispatch <> 0;
-  s.s_sets_rop <- flags land flag_sets_rop <> 0;
-  s.s_taken <- flags land flag_taken <> 0;
-  s.s_hit <- flags land flag_hit <> 0;
-  s.s_indirect <- flags land flag_indirect <> 0;
-  let arg1 = buf.(base + 2) and arg2 = buf.(base + 3) in
-  s.s_addr <- arg1;
-  s.s_target <- arg1;
-  s.s_hint <- arg2;
-  s.s_opcode <- arg2
 
 (* Boxed decode of cell [i], for the legacy-path differential shim. *)
 let tape_to_event tape i =

@@ -57,15 +57,16 @@ val is_control : t -> bool
 
 (** {2 Allocation-free scratch representation}
 
-    Building a fresh {!t} per retired instruction is the dominant
-    allocation of a co-simulated run (millions of events per workload). A
-    [scratch] is a single mutable record the producer overwrites in place
-    and hands to {!Scd_uarch.Pipeline.consume_scratch} synchronously:
-    steady-state event delivery then allocates nothing. Option-typed
-    payloads are encoded as [-1] for [None]. Payload fields not named by
-    the current [s_tag] may hold stale values; consumers must only read
-    the fields the tag defines (plus [s_pc], [s_dispatch], [s_sets_rop],
-    which are always valid). *)
+    A [scratch] is a single mutable record overwritten in place and handed
+    to {!Scd_uarch.Pipeline.consume_scratch} synchronously, so it carries
+    one event without allocating. Co-simulation delivers events on the
+    flat {!type-tape} instead; the scratch remains only as the staging
+    record of the boxed {!Scd_uarch.Pipeline.consume} shim and as a
+    reference for benchmarks and tests. Option-typed payloads are encoded
+    as [-1] for [None]. Payload fields not named by the current [s_tag]
+    may hold stale values; consumers must only read the fields the tag
+    defines (plus [s_pc], [s_dispatch], [s_sets_rop], which are always
+    valid). *)
 
 type scratch = {
   mutable s_pc : int;
@@ -190,11 +191,7 @@ val tape_cell_pc : tape -> int -> int
 val tape_cell_dispatch : tape -> int -> bool
 val tape_cell_arg1 : tape -> int -> int
 val tape_cell_arg2 : tape -> int -> int
-(** Raw accessors for cell [i], for consumers that dispatch on the tag
-    before paying for a full scratch decode. *)
-
-val tape_load_scratch : tape -> int -> scratch -> unit
-(** Decode cell [i] into [scratch] without allocating. *)
+(** Raw accessors for cell [i]. *)
 
 val tape_to_event : tape -> int -> t
 (** Boxed decode of cell [i] (for differential testing of the legacy

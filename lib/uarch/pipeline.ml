@@ -25,6 +25,10 @@ type t = {
   mutable pair_open : bool; (* a second issue slot remains this cycle *)
   mutable group_has_mem : bool;
   mutable last_rop_index : int; (* instruction index of last .op producer *)
+  mutable boundary_every : int; (* retire-boundary period *)
+  mutable boundary_at : int;
+      (* retired count of the next boundary; [max_int] while unarmed *)
+  mutable on_boundary : unit -> unit;
 }
 
 let create ?btb ?(indirect = Indirect.Pc_btb) (config : Config.t) =
@@ -54,6 +58,9 @@ let create ?btb ?(indirect = Indirect.Pc_btb) (config : Config.t) =
     pair_open = false;
     group_has_mem = false;
     last_rop_index = min_int;
+    boundary_every = 0;
+    boundary_at = max_int;
+    on_boundary = ignore;
   }
 
 let config t = t.config
@@ -61,6 +68,12 @@ let btb t = t.btb
 let stats t = t.stats
 let set_probe t probe = t.probe <- probe
 let probe t = t.probe
+
+let set_retire_boundary t ~every f =
+  if every <= 0 then invalid_arg "Pipeline.set_retire_boundary: every";
+  t.boundary_every <- every;
+  t.boundary_at <- t.stats.instructions + every;
+  t.on_boundary <- f
 
 let stall t cycles = t.stats.cycles <- t.stats.cycles + cycles
 
@@ -337,10 +350,38 @@ let consume_plain_run t ~pc ~dispatch ~count ~stride =
       if t.probe != Scd_obs.Probe.null then t.probe.Scd_obs.Probe.on_retire ()
     done
 
+(* Fire every retire boundary the retired count has reached. *)
+let cross_boundaries t =
+  while t.stats.instructions >= t.boundary_at do
+    t.boundary_at <- t.boundary_at + t.boundary_every;
+    t.on_boundary ()
+  done
+
+(* A plain run under the retire boundary: whole when it ends before the
+   next boundary, otherwise in pieces that end exactly on each boundary it
+   crosses, with the callback between them. Each piece is aggregate-exact
+   on its own and the callback runs between the same two instructions as
+   on a one-cell-per-instruction tape, so the split changes nothing
+   observable. [cross_boundaries] has run since the last instruction, so
+   [room >= 1]. *)
+let rec consume_plain_run_bounded t ~pc ~dispatch ~count ~stride =
+  let room = t.boundary_at - t.stats.instructions in
+  if count < room then consume_plain_run t ~pc ~dispatch ~count ~stride
+  else begin
+    consume_plain_run t ~pc ~dispatch ~count:room ~stride;
+    cross_boundaries t;
+    if count > room then
+      consume_plain_run_bounded t ~pc:(pc + (room * stride)) ~dispatch
+        ~count:(count - room) ~stride
+  end
+
+(* Walk the backing buffer directly: the tape only grows on the producer
+   side, so the reference stays valid for the whole drain, and each cell
+   costs four loads feeding {!consume_cell} — no scratch round-trip. With
+   no boundary armed [boundary_at] is [max_int], so the boundary checks
+   never fire. *)
 let consume_tape t tape =
-  (* Walk the backing buffer directly: the tape only grows on the producer
-     side, so the reference stays valid for the whole drain, and each cell
-     costs four loads feeding {!consume_cell} — no scratch round-trip. *)
+  cross_boundaries t;
   let words = Event.tape_extent tape in
   let buf = Event.tape_words tape in
   let i = ref 0 in
@@ -348,11 +389,13 @@ let consume_tape t tape =
     let base = !i in
     let flags = buf.(base + 1) in
     if flags land 0xF = Event.tag_plain_run then
-      consume_plain_run t ~pc:buf.(base)
+      consume_plain_run_bounded t ~pc:buf.(base)
         ~dispatch:(flags land Event.flag_dispatch <> 0)
         ~count:buf.(base + 2) ~stride:buf.(base + 3)
-    else
+    else begin
       consume_cell t ~pc:buf.(base) ~flags ~arg1:buf.(base + 2)
         ~arg2:buf.(base + 3);
+      if t.stats.instructions >= t.boundary_at then cross_boundaries t
+    end;
     i := base + Event.cell_words
   done

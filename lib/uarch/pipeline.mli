@@ -55,13 +55,29 @@ val consume : t -> Scd_isa.Event.t -> unit
 
 val consume_scratch : t -> Scd_isa.Event.scratch -> unit
 (** Account one retired instruction described by a caller-owned mutable
-    scratch record. This is the allocation-free hot path: the producer
-    overwrites one scratch in place per instruction and the pipeline reads
-    it synchronously — no per-event record is ever allocated. The pipeline
-    does not retain the scratch across calls. *)
+    scratch record, without allocating. Co-simulation delivers events
+    through {!consume_tape}; this entry point remains as the staging step
+    of the boxed {!consume} shim and as a reference for benchmarks and
+    tests. The pipeline does not retain the scratch across calls. *)
 
 val consume_tape : t -> Scd_isa.Event.tape -> unit
 (** Account every cell of a flat event tape in order, reading each cell's
     four words straight from the tape buffer (no intermediate record).
-    Allocation-free; the caller clears and refills the tape between
-    batches. *)
+    This is co-simulation's event delivery path. Allocation-free; the
+    caller clears and refills the tape between batches. Honours the retire
+    boundary, if one is armed. *)
+
+val set_retire_boundary : t -> every:int -> (unit -> unit) -> unit
+(** [set_retire_boundary t ~every f] arms a retire boundary: {!consume_tape}
+    calls [f] each time the retired-instruction count reaches another
+    multiple of [every] past the count at arming, right after the
+    instruction that reaches it. A {!Scd_isa.Event.tag_plain_run} cell that
+    crosses a boundary is consumed in pieces with [f] between them, so
+    statistics and callback order are exactly those of the same
+    instructions fed as one plain cell each. [f] must not touch the tape
+    being drained. Instructions accounted through {!consume} or
+    {!consume_scratch} count toward the boundary, but a boundary they reach
+    fires only at the start of the next {!consume_tape}. Re-arming replaces
+    the previous boundary. Co-simulation uses this for the OS
+    context-switch model's periodic JTE flush. Raises [Invalid_argument]
+    when [every <= 0]. *)

@@ -368,7 +368,10 @@ let test_codec_rejects_bad_payloads () =
    [`Boxed] path decodes every cell into an [Event.t] and feeds the old
    [Pipeline.consume]. The two deliveries must be bit-identical — same
    cycles, same BTB stats, same engine counters — across schemes, VMs,
-   multi-table and context-switch configurations. *)
+   multi-table and context-switch configurations. Under a context switch
+   the flat path splits run cells at the pipeline's retire boundary while
+   the boxed path counts cells itself; a small prime interval lands
+   boundaries inside run cells. *)
 let test_event_paths_identical () =
   List.iter
     (fun (vm, scheme, cs, multi) ->
@@ -386,6 +389,8 @@ let test_event_paths_identical () =
     [ ("lua", Scheme.Baseline, None, false);
       ("lua", Scheme.Scd, None, false);
       ("lua", Scheme.Scd, Some 50_000, false);
+      ("lua", Scheme.Scd, Some 97, false);
+      ("js", Scheme.Scd, Some 97, true);
       ("js", Scheme.Scd, None, true);
       ("js", Scheme.Jump_threading, None, false);
       ("lua", Scheme.Vbbi, None, false) ]
@@ -395,14 +400,15 @@ let prop_event_paths_agree =
     ~name:"random programs: flat and boxed event paths bit-identical" ~count:8
     Gen_program.program (fun source ->
       List.for_all
-        (fun scheme ->
+        (fun (scheme, context_switch_interval) ->
           let go event_path =
             Driver.run ~event_path
-              { Driver.default_config with scheme }
+              { Driver.default_config with scheme; context_switch_interval }
               ~source
           in
           Result.equal (go `Flat) (go `Boxed))
-        Scheme.all)
+        (List.map (fun s -> (s, None)) Scheme.all
+         @ [ (Scheme.Scd, Some 97) ]))
 
 (* Tentpole differential: template stamping must reproduce the push-based
    expansion *word for word*, not merely land on the same simulation result.
@@ -420,26 +426,72 @@ let collect_tape_words event_path config =
 
 let test_stamped_tape_words_identical () =
   List.iter
-    (fun (vm, scheme, multi, seed) ->
+    (fun (vm, scheme, multi, cs, seed) ->
       let config =
         { Driver.default_config with frontend = Frontend.get vm; scheme;
-          multi_table = multi; seed = Int64.of_int seed }
+          multi_table = multi; context_switch_interval = cs;
+          seed = Int64.of_int seed }
       in
       check_bool
-        (Printf.sprintf "%s/%s%s stamped tape = pushed tape, word for word" vm
-           (Scheme.name scheme)
-           (if multi then "/multi" else ""))
+        (Printf.sprintf "%s/%s%s%s stamped tape = pushed tape, word for word"
+           vm (Scheme.name scheme)
+           (if multi then "/multi" else "")
+           (match cs with None -> "" | Some n -> Printf.sprintf "/cs %d" n))
         true
         (collect_tape_words `Flat config = collect_tape_words `Flat_push config))
-    [ ("lua", Scheme.Baseline, false, 1);
-      ("lua", Scheme.Jump_threading, false, 2);
-      ("lua", Scheme.Vbbi, false, 3);
-      ("lua", Scheme.Scd, false, 4);
-      ("lua", Scheme.Scd, true, 5);
-      ("js", Scheme.Baseline, false, 6);
-      ("js", Scheme.Jump_threading, false, 7);
-      ("js", Scheme.Scd, false, 8);
-      ("js", Scheme.Scd, true, 9) ]
+    [ ("lua", Scheme.Baseline, false, None, 1);
+      ("lua", Scheme.Jump_threading, false, None, 2);
+      ("lua", Scheme.Vbbi, false, None, 3);
+      ("lua", Scheme.Scd, false, None, 4);
+      ("lua", Scheme.Scd, true, None, 5);
+      ("js", Scheme.Baseline, false, None, 6);
+      ("js", Scheme.Jump_threading, false, None, 7);
+      ("js", Scheme.Scd, false, None, 8);
+      ("js", Scheme.Scd, true, None, 9);
+      (* both tapes carry run cells under a context-switch interval, and
+         the JTE flushes it triggers steer later bop outcomes *)
+      ("lua", Scheme.Scd, false, Some 2_000, 10);
+      ("js", Scheme.Scd, true, Some 2_000, 11) ]
+
+(* Stamping has no fallback: [emit_blob] raises on a blob id that
+   [build_templates] did not enumerate. Pin the enumeration: after a
+   stamped run, every spec's template set holds each [spec.blobs] id and
+   each builtin's blob, under every scheme. *)
+let test_templates_cover_every_blob () =
+  List.iter
+    (fun (vm, superinstructions, bytecode_replication) ->
+      let frontend = Frontend.get vm in
+      let (module F : Frontend.S) = frontend in
+      let spec =
+        F.spec { Frontend.superinstructions; bytecode_replication }
+      in
+      List.iter
+        (fun scheme ->
+          let (_ : Driver.result) =
+            Driver.run
+              { Driver.default_config with frontend; scheme;
+                superinstructions; bytecode_replication }
+              ~source:small_script
+          in
+          let ts =
+            Scd_codegen.Template.find_or_build ~spec ~scheme (fun () ->
+                Alcotest.failf "%s/%s: the run built no template set" vm
+                  (Scheme.name scheme))
+          in
+          let holds (b : Scd_codegen.Spec.rt_blob) =
+            check_bool
+              (Printf.sprintf "%s/%s template set holds blob %d" vm
+                 (Scheme.name scheme) b.blob_id)
+              true
+              (Hashtbl.mem ts.Scd_codegen.Template.blobs b.blob_id)
+          in
+          Array.iter holds spec.blobs;
+          for builtin = 0 to Scd_runtime.Builtins.count - 1 do
+            holds (spec.builtin_blob builtin)
+          done)
+        Scheme.all)
+    [ ("lua", false, false); ("lua", true, false); ("lua", false, true);
+      ("js", false, false) ]
 
 let prop_stamped_tape_words_agree =
   QCheck.Test.make
@@ -471,7 +523,11 @@ let prop_stamped_tape_words_agree =
    probes allocate nothing at all. Probes are off (the default
    [Probe.null]); the warm-up loop grows the tape to its final capacity and
    fills every predictor structure, after which 10k full steps must leave
-   the minor-allocation counter exactly where it was. *)
+   the minor-allocation counter exactly where it was. A context-switch
+   retire boundary is armed as [Driver.run] arms it, so run-cell splits and
+   the JTE flushes they trigger are inside the measured window; runs
+   without an interval take the same [consume_tape] loop with the boundary
+   never reached. *)
 let test_flat_event_delivery_allocation_free () =
   let open Scd_isa.Event in
   let machine = Scd_uarch.Config.simulator in
@@ -479,11 +535,14 @@ let test_flat_event_delivery_allocation_free () =
     Scd_uarch.Btb.create ~entries:machine.btb_entries ~ways:machine.btb_ways
       ~replacement:machine.btb_replacement ()
   in
-  let engine = Scd_core.Engine.create btb in
+  let interval = 97 in
+  let engine = Scd_core.Engine.create ~context_switch_interval:interval btb in
   let pipeline =
     Scd_uarch.Pipeline.create ~btb
       ~indirect:(Scheme.indirect_scheme Scheme.Scd) machine
   in
+  Scd_uarch.Pipeline.set_retire_boundary pipeline ~every:interval (fun () ->
+      Scd_core.Engine.retire engine interval);
   let tape = tape_create () in
   let step i =
     let pc = 0x1000 + ((i land 63) * 4) in
@@ -524,13 +583,19 @@ let test_flat_event_delivery_allocation_free () =
   for i = 0 to 4_095 do
     step i
   done;
+  let flushes () = (Scd_core.Engine.stats engine).context_switch_flushes in
+  let retired () = (Scd_uarch.Pipeline.stats pipeline).instructions in
+  let flushes0 = flushes () and retired0 = retired () in
   let m0 = Gc.minor_words () in
   for i = 0 to 9_999 do
     step i
   done;
   let delta = Gc.minor_words () -. m0 in
   Alcotest.(check (float 0.0))
-    "10k flat pipeline+engine steps allocate zero minor words" 0.0 delta
+    "10k flat pipeline+engine steps allocate zero minor words" 0.0 delta;
+  check_int "one JTE flush per boundary crossed in the window"
+    ((retired () / interval) - (retired0 / interval))
+    (flushes () - flushes0)
 
 (* ------------------------------------------------------------------ *)
 (* Emission-stride regressions (dispatch-PC spacing)                   *)
@@ -690,6 +755,8 @@ let () =
           Alcotest.test_case "stamped tape words identical" `Quick
             test_stamped_tape_words_identical;
           QCheck_alcotest.to_alcotest prop_stamped_tape_words_agree;
+          Alcotest.test_case "templates cover every blob" `Quick
+            test_templates_cover_every_blob;
           Alcotest.test_case "flat delivery allocation-free" `Quick
             test_flat_event_delivery_allocation_free;
         ] );

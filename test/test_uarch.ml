@@ -543,6 +543,80 @@ let test_pipeline_dispatch_attribution () =
   check_int "dispatch instructions" 1 s.dispatch_instructions;
   check_int "total" 2 s.instructions
 
+(* A retire boundary fires right after the instruction that reaches each
+   multiple of [every]; a run cell straddling one is consumed in pieces
+   around the callback. The same instructions with every run expanded into
+   single plain cells must give the same callback points and identical
+   statistics, on single issue (aggregate run consumption) and dual issue
+   (per-instruction run consumption). *)
+let test_pipeline_retire_boundary_splits_runs () =
+  let every = 7 in
+  let mem ~write pc =
+    `Cell (pc, (if write then Event.tag_mem_write else Event.tag_mem_read),
+           0x8000 + (pc land 0xFF))
+  in
+  (* instruction counts: 1, +5 = 6, +1 = 7 (boundary on a single cell),
+     +9 = 16 (14 inside), +1, +16 = 33 (21 and 28 inside), +1, +1 = 35
+     (a one-instruction run ending on a boundary), +14 = 49 (42 inside, 49
+     at its end), +2 = 51 *)
+  let cells =
+    [ mem ~write:false 0x1000;
+      `Run (0x1004, false, 5, 4);
+      `Cell (0x1018, Event.tag_plain, 0);
+      `Run (0x101c, false, 9, 12);
+      mem ~write:true 0x1090;
+      `Run (0x2000, true, 16, 4);
+      `Cell (0x2040, Event.tag_cond_branch lor Event.flag_taken, 0x3000);
+      `Run (0x3000, true, 1, 4);
+      `Run (0x3004, false, 14, 4);
+      `Cell (0x303c, Event.tag_plain, 0);
+      `Cell (0x3040, Event.tag_plain, 0) ]
+  in
+  let push_cell tape (pc, flags, arg1) =
+    Event.tape_push tape ~pc ~flags ~arg1 ~arg2:(-1)
+  in
+  let run_in config ~expand_runs =
+    let p = Pipeline.create config in
+    let fired = ref [] in
+    Pipeline.set_retire_boundary p ~every (fun () ->
+        fired := (Pipeline.stats p).instructions :: !fired);
+    let tape = Event.tape_create () in
+    let feed batch =
+      Event.tape_clear tape;
+      List.iter
+        (function
+          | `Cell c -> push_cell tape c
+          | `Run (pc, dispatch, count, stride) ->
+            if expand_runs then
+              for k = 0 to count - 1 do
+                push_cell tape
+                  ( pc + (k * stride),
+                    Event.tag_plain
+                    lor (if dispatch then Event.flag_dispatch else 0),
+                    0 )
+              done
+            else Event.tape_push_run tape ~pc ~dispatch ~count ~stride)
+        batch;
+      Pipeline.consume_tape p tape
+    in
+    (* two batches, the second opening mid-interval *)
+    feed (List.filteri (fun i _ -> i < 4) cells);
+    feed (List.filteri (fun i _ -> i >= 4) cells);
+    (List.rev !fired, Stats.to_assoc (Pipeline.stats p))
+  in
+  List.iter
+    (fun (name, config) ->
+      let fired, stats = run_in config ~expand_runs:false in
+      let ref_fired, ref_stats = run_in config ~expand_runs:true in
+      Alcotest.(check (list int))
+        (name ^ ": fires at each multiple of 7")
+        [ 7; 14; 21; 28; 35; 42; 49 ] fired;
+      Alcotest.(check (list int)) (name ^ ": same points as single cells")
+        ref_fired fired;
+      check_bool (name ^ ": stats equal single plain cells") true
+        (stats = ref_stats))
+    [ ("single issue", Config.simulator); ("dual issue", Config.high_end) ]
+
 (* The allocation-free hot path reuses one scratch record for every
    instruction, so a payload field written by an earlier event could leak
    into a later one whose tag does not overwrite it. Differential check:
@@ -683,6 +757,8 @@ let () =
           Alcotest.test_case "bop distance" `Quick test_pipeline_no_stall_with_distance;
           Alcotest.test_case "icache per block" `Quick test_pipeline_icache_per_block;
           Alcotest.test_case "dispatch attribution" `Quick test_pipeline_dispatch_attribution;
+          Alcotest.test_case "retire boundary splits runs" `Quick
+            test_pipeline_retire_boundary_splits_runs;
           QCheck_alcotest.to_alcotest prop_scratch_reuse_leaks_nothing;
         ] );
       ( "config",
