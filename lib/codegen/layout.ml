@@ -2,14 +2,23 @@ open Scd_runtime
 
 type site = Common_site | Call_site | Branch_site
 
+(* Everything the driver asks per bytecode is a dense array filled once by
+   [build]: the per-bytecode path makes no association-list scan, hash
+   lookup or [Spec] closure call, and allocates no spec record. *)
 type t = {
   spec : Spec.t;
   scheme : Scd_core.Scheme.t;
-  site_bases : (site * int) list;
+  site_bases : int array;
+      (* by [site_index]; a site the VM lacks holds the common site's base *)
+  next_sites : site array;  (* per opcode: [site_of_opcode] *)
+  tail_targets : int array;  (* per opcode: base of the next site *)
+  handlers : Spec.handler_spec array;  (* per opcode: [spec.handler] *)
   handler_entries : int array;
   handler_tails : int array;
   default_handler : int;
-  blob_entries : (int, int) Hashtbl.t;
+  blob_entries : int array;  (* per [spec.blobs] index *)
+  builtin_blobs : Spec.rt_blob array;  (* per builtin: [spec.builtin_blob] *)
+  builtin_entries : int array;  (* per builtin *)
   code_bytes : int;
   fn_code_offsets : int array;
   fn_const_offsets : int array;
@@ -65,8 +74,7 @@ let tail_len spec (scheme : Scd_core.Scheme.t) =
   | Jump_threading -> replica_len spec * hot_stride / 4
   | _ -> 1
 
-let handler_len (spec : Spec.t) scheme op =
-  let h = spec.handler op in
+let handler_len (spec : Spec.t) scheme (h : Spec.handler_spec) =
   (h.body_instrs * hot_stride / 4)
   (* The runtime-helper call is compiled handler code like the rest of the
      body, so it occupies a full hot-stride slot — its return address (and
@@ -82,6 +90,8 @@ let prefix_offsets sizes =
   done;
   offsets
 
+let site_index = function Common_site -> 0 | Call_site -> 1 | Branch_site -> 2
+
 let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
   let cursor = ref code_base in
   let alloc_instrs n =
@@ -89,57 +99,57 @@ let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
     cursor := base + (4 * n);
     base
   in
+  let next_sites =
+    Array.init spec.num_opcodes (fun op ->
+        match spec.dispatch_site op with
+        | `Common -> Common_site
+        | `Call_tail -> Call_site
+        | `Branch_tail -> Branch_site)
+  in
   (* Dispatch-site blocks (unused under jump threading, where every handler
      carries a replica, but allocating them is harmless and keeps addresses
      comparable across schemes). *)
-  let sites =
-    let needs_split_sites =
-      (* The stack VM has distinct call/branch fetch sites. *)
-      let rec probe op =
-        if op >= spec.num_opcodes then false
-        else match spec.dispatch_site op with
-          | `Common -> probe (op + 1)
-          | `Call_tail | `Branch_tail -> true
-      in
-      probe 0
-    in
-    let common =
-      (Common_site, alloc_instrs (site_block_len spec scheme ~with_loop_overhead:true))
-    in
-    if needs_split_sites then
-      common
-      :: [ (Call_site, alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false));
-           (Branch_site, alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false)) ]
-    else [ common ]
-  in
+  let common = alloc_instrs (site_block_len spec scheme ~with_loop_overhead:true) in
+  let site_bases = Array.make 3 common in
+  (* The stack VM has distinct call/branch fetch sites. *)
+  if Array.exists (fun site -> site <> Common_site) next_sites then begin
+    (* The branch-tail block sits below the call-tail block: every
+       published figure was simulated with this placement. *)
+    site_bases.(site_index Branch_site) <-
+      alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false);
+    site_bases.(site_index Call_site) <-
+      alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false)
+  end;
+  let handlers = Array.init spec.num_opcodes spec.handler in
   let handler_entries = Array.make spec.num_opcodes 0 in
   let handler_tails = Array.make spec.num_opcodes 0 in
   for op = 0 to spec.num_opcodes - 1 do
-    let len = handler_len spec scheme op in
+    let len = handler_len spec scheme handlers.(op) in
     let base = alloc_instrs len in
     handler_entries.(op) <- base;
     handler_tails.(op) <- base + (4 * (len - tail_len spec scheme))
   done;
   let default_handler = alloc_instrs 12 in
-  let blob_entries = Hashtbl.create 64 in
-  Array.iter
-    (fun (b : Spec.rt_blob) ->
-      Hashtbl.replace blob_entries b.blob_id
-        (alloc_instrs ((b.body_instrs * hot_stride / 4) + 1)))
-    spec.blobs;
-  for builtin = 0 to Builtins.count - 1 do
-    let b = spec.builtin_blob builtin in
-    Hashtbl.replace blob_entries b.blob_id
-      (alloc_instrs ((b.body_instrs * hot_stride / 4) + 1))
-  done;
+  let blob_entry (b : Spec.rt_blob) =
+    alloc_instrs ((b.body_instrs * hot_stride / 4) + 1)
+  in
+  let blob_entries = Array.map blob_entry spec.blobs in
+  let builtin_blobs = Array.init Builtins.count spec.builtin_blob in
+  let builtin_entries = Array.map blob_entry builtin_blobs in
   {
     spec;
     scheme;
-    site_bases = sites;
+    site_bases;
+    next_sites;
+    tail_targets =
+      Array.map (fun site -> site_bases.(site_index site)) next_sites;
+    handlers;
     handler_entries;
     handler_tails;
     default_handler;
     blob_entries;
+    builtin_blobs;
+    builtin_entries;
     code_bytes = !cursor - code_base;
     fn_code_offsets = prefix_offsets fn_code_sizes;
     fn_const_offsets =
@@ -149,30 +159,25 @@ let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
 let spec t = t.spec
 let scheme t = t.scheme
 
-let site_base t site =
-  match List.assoc_opt site t.site_bases with
-  | Some base -> base
-  | None -> List.assoc Common_site t.site_bases
-
-let site_of_opcode t op =
-  match t.spec.dispatch_site op with
-  | `Common -> Common_site
-  | `Call_tail -> if List.mem_assoc Call_site t.site_bases then Call_site else Common_site
-  | `Branch_tail ->
-    if List.mem_assoc Branch_site t.site_bases then Branch_site else Common_site
-
+let site_base t site = t.site_bases.(site_index site)
+let site_of_opcode t op = t.next_sites.(op)
+let tail_target t op = t.tail_targets.(op)
+let handler t op = t.handlers.(op)
 let handler_entry t op = t.handler_entries.(op)
 
 let handler_call_site t op =
-  t.handler_entries.(op) + (hot_stride * (t.spec.handler op).body_instrs)
+  t.handler_entries.(op) + (hot_stride * t.handlers.(op).body_instrs)
 
 let handler_tail t op = t.handler_tails.(op)
 let default_handler t = t.default_handler
 
-let blob_entry t blob_id =
-  match Hashtbl.find_opt t.blob_entries blob_id with
-  | Some base -> base
-  | None -> invalid_arg (Printf.sprintf "Layout.blob_entry: unknown blob %d" blob_id)
+let blob_entry t i =
+  if i < 0 || i >= Array.length t.blob_entries then
+    invalid_arg (Printf.sprintf "Layout.blob_entry: unknown blob %d" i);
+  t.blob_entries.(i)
+
+let builtin_blob t builtin = t.builtin_blobs.(builtin)
+let builtin_entry t builtin = t.builtin_entries.(builtin)
 
 let code_bytes t = t.code_bytes
 

@@ -15,6 +15,9 @@
 
 type site = Common_site | Call_site | Branch_site
 
+val site_index : site -> int
+(** Dense site index: 0 common, 1 call-tail, 2 branch-tail. *)
+
 type t
 
 val build :
@@ -31,12 +34,18 @@ val scheme : t -> Scd_core.Scheme.t
 (* --- native code addresses --- *)
 
 val site_base : t -> site -> int
-(** Base PC of a dispatch-site block (valid sites only; the register VM has
-    just [Common_site]). *)
+(** Base PC of a dispatch-site block. The register VM has just
+    [Common_site]; its other sites answer the common site's base. *)
 
 val site_of_opcode : t -> int -> site
 (** Which site dispatches *after* this opcode's handler (non-jump-threaded
-    schemes). *)
+    schemes): [spec.dispatch_site op]. *)
+
+val tail_target : t -> int -> int
+(** Target of this opcode's tail jump: [site_base t (site_of_opcode t op)]. *)
+
+val handler : t -> int -> Spec.handler_spec
+(** [spec.handler op], evaluated once at {!build}. *)
 
 val hot_stride : int
 (** Byte distance between consecutive *executed* instructions inside handler
@@ -57,8 +66,14 @@ val default_handler : t -> int
 (** Target of the bound-check branch (the [error()] arm). *)
 
 val blob_entry : t -> int -> int
-(** Entry PC of a VM helper blob by blob id (builtin blobs use id
-    [1000 + builtin]). *)
+(** Entry PC of the VM helper blob at index [i] of [spec.blobs] (the index
+    a handler's [rt_call] names). *)
+
+val builtin_blob : t -> int -> Spec.rt_blob
+(** [spec.builtin_blob builtin], built once at {!build}. *)
+
+val builtin_entry : t -> int -> int
+(** Entry PC of a builtin library routine's blob. *)
 
 val code_bytes : t -> int
 (** Total interpreter code footprint, for the bloat comparison. *)

@@ -19,7 +19,8 @@ type set = {
   replica : t array;
   scd_prefix : t array;
   scd_miss : t array array;
-  blobs : (int, t) Hashtbl.t;
+  blobs : t array;
+  builtins : t array;
 }
 
 (* ------------------------------------------------------------------ *)

@@ -61,15 +61,17 @@ type set = {
           fall-through up to (excluding) the [jru]. The miss [bop] cell
           itself and the [jru] carry engine decisions and are pushed at
           trace time. No patches; [end_pc] is the [jru] PC. *)
-  blobs : (int, t) Hashtbl.t;
-      (** Per [blob_id]: the runtime-helper / builtin call cell plus the
+  blobs : t array;
+      (** Per [spec.blobs] index: the runtime-helper call cell plus the
           callee body and return. The callee body is absolute; the call
           cell's PC and RAS link and the return target are call-site
           words, patched by {!stamp_blob}. *)
+  builtins : t array;
+      (** Per builtin id: the builtin library routine's blob, laid out as
+          in [blobs]. *)
 }
 (** One scheme's worth of templates for one interpreter spec. Arrays are
-    indexed by the driver's dense site index (0 = common site) and
-    opcode. *)
+    indexed by {!Layout.site_index} and opcode. *)
 
 val stamp_dispatch : Scd_isa.Event.tape -> t -> fetch_addr:int -> unit
 (** Append the template and patch the bytecode-fetch address. *)

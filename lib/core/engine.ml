@@ -9,8 +9,6 @@ type stats = {
 type t = {
   btb : Scd_uarch.Btb.t;
   tables : int;
-  context_switch_interval : int option;
-  mutable retired_since_switch : int;
   stats : stats;
 }
 
@@ -22,18 +20,12 @@ let opcode_bits = 10
 
 let key ~table ~opcode = ((table lsl opcode_bits) lor opcode) lsl 2
 
-let create ?(tables = 1) ?context_switch_interval btb =
+let create ?(tables = 1) btb =
   if tables < 1 || tables > 16 then
     invalid_arg "Engine.create: tables must be in [1, 16]";
-  (match context_switch_interval with
-   | Some n when n <= 0 ->
-     invalid_arg "Engine.create: context_switch_interval must be positive"
-   | _ -> ());
   {
     btb;
     tables;
-    context_switch_interval;
-    retired_since_switch = 0;
     stats =
       {
         bop_lookups = 0;
@@ -65,7 +57,7 @@ type outcome = Hit of int | Miss
 
 let no_target = Scd_uarch.Btb.no_target
 
-let bop_target ?(table = 0) t ~opcode =
+let bop_target t ~table ~opcode =
   check_table t table;
   check_opcode opcode;
   t.stats.bop_lookups <- t.stats.bop_lookups + 1;
@@ -73,13 +65,13 @@ let bop_target ?(table = 0) t ~opcode =
   if target != no_target then t.stats.bop_hits <- t.stats.bop_hits + 1;
   target
 
-let bop ?table t ~opcode =
-  let target = bop_target ?table t ~opcode in
+let bop ?(table = 0) t ~opcode =
+  let target = bop_target t ~table ~opcode in
   if target == no_target then Miss else Hit target
 
 (* [opcode < 0] means Rop was invalid: jru behaves as a plain indirect
    jump and inserts nothing. *)
-let jru_code ?(table = 0) t ~opcode ~target =
+let jru_code t ~table ~opcode ~target =
   check_table t table;
   if opcode >= 0 then begin
     check_opcode opcode;
@@ -88,24 +80,17 @@ let jru_code ?(table = 0) t ~opcode ~target =
     audit t
   end
 
-let jru ?table t ~opcode ~target =
-  jru_code ?table t ~opcode:(match opcode with None -> -1 | Some o -> o) ~target
+let jru ?(table = 0) t ~opcode ~target =
+  jru_code t ~table ~opcode:(match opcode with None -> -1 | Some o -> o) ~target
 
 let jte_flush t =
   t.stats.flushes <- t.stats.flushes + 1;
   Scd_uarch.Btb.flush_jtes t.btb;
   audit t
 
-let retire t n =
-  match t.context_switch_interval with
-  | None -> ()
-  | Some interval ->
-    t.retired_since_switch <- t.retired_since_switch + n;
-    if t.retired_since_switch >= interval then begin
-      t.retired_since_switch <- t.retired_since_switch mod interval;
-      t.stats.context_switch_flushes <- t.stats.context_switch_flushes + 1;
-      jte_flush t
-    end
+let context_switch t =
+  t.stats.context_switch_flushes <- t.stats.context_switch_flushes + 1;
+  jte_flush t
 
 let jte_population t = Scd_uarch.Btb.jte_population t.btb
 let stats t = t.stats

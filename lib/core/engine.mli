@@ -17,9 +17,10 @@
     table's opcodes live in a disjoint key range, mirroring the paper's
     replicated (Rop, Rmask, Rbop-pc) register sets.
 
-    An optional context-switch model flushes all JTEs every [n] retired
-    instructions, emulating the paper's preferred OS policy of executing
-    [jte_flush] on every context switch. *)
+    {!context_switch} models the paper's preferred OS policy of executing
+    [jte_flush] on every context switch; the caller decides when one
+    happens (the co-simulation driver fires it every [n] retired
+    instructions). *)
 
 type t
 
@@ -31,37 +32,38 @@ type stats = {
   mutable context_switch_flushes : int;
 }
 
-val create :
-  ?tables:int -> ?context_switch_interval:int -> Scd_uarch.Btb.t -> t
+val create : ?tables:int -> Scd_uarch.Btb.t -> t
 (** [tables] is the number of simultaneously-tracked jump tables (default 1,
-    max 16). [context_switch_interval], when given, flushes JTEs every that
-    many retired instructions (see {!retire}). *)
+    max 16). *)
 
 type outcome = Hit of int | Miss
 
 val no_target : int
 (** Miss sentinel for {!bop_target} (equals {!Scd_uarch.Btb.no_target}). *)
 
-val bop_target : ?table:int -> t -> opcode:int -> int
-(** Allocation-free architectural [bop] lookup for [opcode] in [table]
-    (default 0): the JTE target on a hit, {!no_target} on a miss. *)
+val bop_target : t -> table:int -> opcode:int -> int
+(** Allocation-free architectural [bop] lookup for [opcode] in jump table
+    [table]: the JTE target on a hit, {!no_target} on a miss. [table] is
+    a required argument: an optional one costs its caller a [Some] box
+    per call wherever the call is not inlined. *)
 
 val bop : ?table:int -> t -> opcode:int -> outcome
-(** Boxing shim over {!bop_target}. *)
+(** Boxing shim over {!bop_target} ([table] defaults to 0). *)
 
-val jru_code : ?table:int -> t -> opcode:int -> target:int -> unit
+val jru_code : t -> table:int -> opcode:int -> target:int -> unit
 (** Allocation-free architectural [jru]: insert a JTE when [opcode] is
     non-negative (i.e. Rop was valid), honouring JTE priority and the BTB's
     JTE cap; a negative opcode inserts nothing. *)
 
 val jru : ?table:int -> t -> opcode:int option -> target:int -> unit
-(** Shim over {!jru_code} ([None] maps to a negative opcode). *)
+(** Shim over {!jru_code} ([table] defaults to 0; [None] maps to a
+    negative opcode). *)
 
 val jte_flush : t -> unit
 
-val retire : t -> int -> unit
-(** Advance the retired-instruction counter by [n]; triggers context-switch
-    flushes when an interval was configured. *)
+val context_switch : t -> unit
+(** A context switch: count it in [context_switch_flushes] and
+    {!jte_flush}. *)
 
 val jte_population : t -> int
 val stats : t -> stats

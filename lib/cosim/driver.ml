@@ -89,11 +89,6 @@ type expander = {
          testing. *)
 }
 
-let table_of_site = function
-  | Layout.Common_site -> 0
-  | Layout.Call_site -> 1
-  | Layout.Branch_site -> 2
-
 (* Instructions separating the .op producer from bop in the emitted
    dispatcher; decides Rop readiness for the fall-through policy. *)
 let rop_distance (spec : Spec.t) =
@@ -130,7 +125,7 @@ let flush exp =
           exp.retired_since_cs <- exp.retired_since_cs + 1;
           if exp.retired_since_cs >= interval then begin
             exp.retired_since_cs <- 0;
-            Scd_core.Engine.retire exp.engine interval
+            Scd_core.Engine.context_switch exp.engine
           end
       done
     else Pipeline.consume_tape exp.pipeline tape;
@@ -234,12 +229,12 @@ let emit_decode_to_target exp ~step ~opcode =
   let d = exp.spec.dispatch in
   emit_plain_dispatch exp ~step d.decode_instrs;
   (* bound check: compare + never-taken branch to the error arm *)
-  emit_plain_dispatch exp ~step (max 0 (d.bound_check_instrs - 1));
+  emit_plain_dispatch exp ~step (Int.max 0 (d.bound_check_instrs - 1));
   emit_cond_branch exp ~dispatch:true exp.epc ~taken:false
     ~target:(Layout.default_handler exp.layout);
   exp.epc <- exp.epc + step;
   (* target calculation, ending with the jump-table load *)
-  emit_plain_dispatch exp ~step (max 0 (d.target_calc_instrs - 1));
+  emit_plain_dispatch exp ~step (Int.max 0 (d.target_calc_instrs - 1));
   emit_mem exp ~dispatch:true ~sets_rop:false ~write:false exp.epc
     ~addr:(Layout.jump_table_entry exp.layout opcode);
   exp.epc <- exp.epc + step
@@ -263,7 +258,7 @@ let emit_dispatch_prefix exp ~step ~overhead ~fetch_addr =
   emit_mem exp ~dispatch:true ~sets_rop:scd ~write:false exp.epc
     ~addr:fetch_addr;
   exp.epc <- exp.epc + step;
-  emit_plain_dispatch exp ~step (max 0 (d.fetch_instrs - 3));
+  emit_plain_dispatch exp ~step (Int.max 0 (d.fetch_instrs - 3));
   emit_mem exp ~dispatch:true ~sets_rop:false ~write:true exp.epc
     ~addr:vm_state;
   exp.epc <- exp.epc + step;
@@ -272,7 +267,7 @@ let emit_dispatch_prefix exp ~step ~overhead ~fetch_addr =
 
 (* Section IV: with multiple tables each dispatch site has its own Rbop-pc
    register; with one table the sites share it and thrash. *)
-let scd_table exp ~site = if exp.multi_table then table_of_site site else 0
+let scd_table exp ~site = if exp.multi_table then Layout.site_index site else 0
 
 (* The SCD short-circuit query at the bop. The engine reads the shared
    BTB, so pending events are drained first: the architecturally-visible
@@ -284,14 +279,14 @@ let scd_bop_query exp ~table ~bop_pc ~opcode =
   flush exp;
   (* Table I: a hit needs Rbop-pc == PC as well as a valid JTE. *)
   if same_site && ready then
-    Scd_core.Engine.bop_target ~table exp.engine ~opcode
+    Scd_core.Engine.bop_target exp.engine ~table ~opcode
   else Scd_core.Engine.no_target
 
 (* The end of the SCD miss arm, with the cursor at the jru slot: the
    JTE-inserting indirect jump to the handler. *)
 let scd_finish_miss exp ~table ~opcode ~handler =
   flush exp;
-  Scd_core.Engine.jru_code ~table exp.engine ~opcode ~target:handler;
+  Scd_core.Engine.jru_code exp.engine ~table ~opcode ~target:handler;
   emit_jru exp exp.epc ~opcode ~target:handler
 
 (* Dispatch reaching the handler of [opcode] for the bytecode at
@@ -323,12 +318,12 @@ let emit_dispatch exp ~base ~step ~overhead ~site ~opcode ~fetch_addr =
   fetch_word
 
 (* Runtime helper / builtin library call appended to a handler body, cell
-   by cell. The call is a handler instruction emitted at [step] (= the
-   handler's hot stride), so the return lands [step] bytes past it — where
-   the layout places the tail region; the call cell carries that link so
-   the RAS push matches the return target. *)
-let emit_blob_cells exp ~step (b : Spec.rt_blob) =
-  let target = Layout.blob_entry exp.layout b.blob_id in
+   by cell, to the blob [b] laid out at [target]. The call is a handler
+   instruction emitted at [step] (= the handler's hot stride), so the
+   return lands [step] bytes past it — where the layout places the tail
+   region; the call cell carries that link so the RAS push matches the
+   return target. *)
+let emit_blob_cells exp ~step ~target (b : Spec.rt_blob) =
   let return_to = exp.epc + step in
   emit_call exp exp.epc ~target ~link:return_to;
   exp.epc <- target;
@@ -348,28 +343,33 @@ let emit_blob_cells exp ~step (b : Spec.rt_blob) =
     (b.body_instrs - (mems * b.load_every));
   emit_return exp exp.epc ~target:return_to
 
-(* Helper-call emission: one stamp plus three patched call-site words when
+(* Helper-call emission, for the helper at index [i] of [spec.blobs] or
+   for builtin [i]: one stamp plus three patched call-site words when
    templates are in use (every blob body is run-invariant — its data
    traffic walks fixed stack slots), the cell-by-cell path otherwise.
-   [build_templates] enumerates [spec.blobs] and every builtin, so a
-   missing template is a bug there, not a case to paper over. *)
-let emit_blob exp ~step (b : Spec.rt_blob) =
+   Template sets hold one blob per [spec.blobs] index and one per builtin,
+   indexed exactly like the layout's, so there is no missing case. *)
+let stamp_blob exp ~step t =
+  Template.stamp_blob exp.tape t ~call_pc:exp.epc ~link:(exp.epc + step)
+
+let emit_vm_blob exp ~step i =
   match exp.templates with
-  | None -> emit_blob_cells exp ~step b
-  | Some ts ->
-    (match Hashtbl.find ts.Template.blobs b.blob_id with
-     | t ->
-       Template.stamp_blob exp.tape t ~call_pc:exp.epc
-         ~link:(exp.epc + step)
-     | exception Not_found ->
-       invalid_arg
-         (Printf.sprintf "Driver.emit_blob: no template for blob %d"
-            b.blob_id))
+  | Some ts -> stamp_blob exp ~step ts.Template.blobs.(i)
+  | None ->
+    emit_blob_cells exp ~step ~target:(Layout.blob_entry exp.layout i)
+      exp.spec.blobs.(i)
+
+let emit_builtin exp ~step i =
+  match exp.templates with
+  | Some ts -> stamp_blob exp ~step ts.Template.builtins.(i)
+  | None ->
+    emit_blob_cells exp ~step ~target:(Layout.builtin_entry exp.layout i)
+      (Layout.builtin_blob exp.layout i)
 
 (* Handler body for one bytecode event. *)
 let emit_handler exp (tr : Trace.t) =
   let opcode = tr.opcode in
-  let spec_handler = exp.spec.handler opcode in
+  let spec_handler = Layout.handler exp.layout opcode in
   exp.epc <- Layout.handler_entry exp.layout opcode;
   let body = spec_handler.body_instrs in
   (* Data accesses occupy the first slots; a control-dependent branch, if
@@ -378,7 +378,7 @@ let emit_handler exp (tr : Trace.t) =
   (* A control-dependent branch, if any, claims the last body slot even
      from a data access; the slots before it are accesses then plains. *)
   let slots = if spec_handler.ctrl_branch then body - 1 else body in
-  let mems = min n_acc slots in
+  let mems = Int.min n_acc slots in
   for k = 0 to mems - 1 do
     let addr =
       Layout.access_addr_flat exp.layout ~kind:(Trace.access_kind tr k)
@@ -397,19 +397,18 @@ let emit_handler exp (tr : Trace.t) =
   end;
   (* Runtime helper / builtin library call. *)
   if tr.ctrl_kind = Trace.ctrl_call && tr.ctrl_arg < 0 then
-    emit_blob exp ~step:Layout.hot_stride (exp.spec.builtin_blob (-1 - tr.ctrl_arg))
+    emit_builtin exp ~step:Layout.hot_stride (-1 - tr.ctrl_arg)
   else
     match spec_handler.rt_call with
-    | Some id -> emit_blob exp ~step:Layout.hot_stride exp.spec.blobs.(id)
+    | Some i -> emit_vm_blob exp ~step:Layout.hot_stride i
     | None -> ()
 
 let emit_tail exp opcode =
   match exp.scheme with
   | Scd_core.Scheme.Jump_threading -> () (* the replica is this handler's own dispatcher *)
   | _ ->
-    let site = Layout.site_of_opcode exp.layout opcode in
-    let target = Layout.site_base exp.layout site in
-    emit_jump exp (Layout.handler_tail exp.layout opcode) ~target
+    emit_jump exp (Layout.handler_tail exp.layout opcode)
+      ~target:(Layout.tail_target exp.layout opcode)
 
 (* The dispatch site that fetches the next bytecode: the handler tail of
    the previous opcode selects it (common site before the first). *)
@@ -464,13 +463,13 @@ let stamp_dispatch exp (ts : Template.set) ~opcode ~fetch_addr =
         ~base_pc:(Layout.handler_tail exp.layout exp.prev_opcode)
         ~fetch_addr
   | Baseline | Vbbi ->
-    let si = table_of_site (dispatch_site exp) in
+    let si = Layout.site_index (dispatch_site exp) in
     Template.stamp_dispatch exp.tape
       ts.Template.dispatch.(si).(opcode)
       ~fetch_addr
   | Scd ->
     let site = dispatch_site exp in
-    let si = table_of_site site in
+    let si = Layout.site_index site in
     let pre = ts.Template.scd_prefix.(si) in
     Template.stamp_dispatch exp.tape pre ~fetch_addr;
     let bop_pc = pre.Template.end_pc in
@@ -521,7 +520,7 @@ let on_bytecode_observed exp tel (tr : Trace.t) =
     | Scd_core.Scheme.Jump_threading -> 0
     | _ ->
       if exp.prev_opcode < 0 then 0
-      else table_of_site (Layout.site_of_opcode exp.layout exp.prev_opcode)
+      else Layout.site_index (Layout.site_of_opcode exp.layout exp.prev_opcode)
   in
   on_bytecode exp tr;
   Telemetry.note_bytecode tel ~site ~opcode:tr.opcode
@@ -614,19 +613,22 @@ let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
           Template.make ~fetch_patch:fp (snap ()))
     else [||]
   in
-  let blobs = Hashtbl.create 64 in
-  let add_blob (blob : Spec.rt_blob) =
-    if not (Hashtbl.mem blobs blob.blob_id) then begin
-      b.epc <- 0 (* the call-site words are patched at stamp time *);
-      emit_blob_cells b ~step:Layout.hot_stride blob;
-      Hashtbl.replace blobs blob.blob_id (Template.make (snap ()))
-    end
+  let blob ~target (blob : Spec.rt_blob) =
+    b.epc <- 0 (* the call-site words are patched at stamp time *);
+    emit_blob_cells b ~step:Layout.hot_stride ~target blob;
+    Template.make (snap ())
   in
-  Array.iter add_blob spec.blobs;
-  for builtin = 0 to Builtins.count - 1 do
-    add_blob (spec.builtin_blob builtin)
-  done;
-  { Template.dispatch; replica; scd_prefix; scd_miss; blobs }
+  let blobs =
+    Array.mapi
+      (fun i -> blob ~target:(Layout.blob_entry layout i))
+      spec.blobs
+  in
+  let builtins =
+    Array.init Builtins.count (fun i ->
+        blob ~target:(Layout.builtin_entry layout i)
+          (Layout.builtin_blob layout i))
+  in
+  { Template.dispatch; replica; scd_prefix; scd_miss; blobs; builtins }
 
 (* ------------------------------------------------------------------ *)
 
@@ -641,6 +643,10 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
            counter so results do not depend on earlier runs in this
            process *)
         Scd_runtime.Value.reset_table_ids ();
+        (match config.context_switch_interval with
+         | Some n when n <= 0 ->
+           invalid_arg "Driver.run: context_switch_interval must be positive"
+         | _ -> ());
         let machine = config.machine in
         let btb =
           Btb.create ~entries:machine.btb_entries ~ways:machine.btb_ways
@@ -649,7 +655,7 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
         let engine =
           Scd_core.Engine.create
             ~tables:(if config.multi_table then 3 else 1)
-            ?context_switch_interval:config.context_switch_interval btb
+            btb
         in
         let indirect =
           match config.indirect_override with
@@ -714,7 +720,7 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
   (match config.context_switch_interval with
    | Some interval when not exp.boxed ->
      Pipeline.set_retire_boundary pipeline ~every:interval (fun () ->
-         Scd_core.Engine.retire engine interval)
+         Scd_core.Engine.context_switch engine)
    | _ -> ());
   let ctx = Builtins.create_ctx ~seed:config.seed () in
   Scd_obs.Prof.span "execute" (fun () ->

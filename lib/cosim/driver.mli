@@ -25,7 +25,8 @@ type run_config = {
   scheme : Scd_core.Scheme.t;
   machine : Scd_uarch.Config.t;
   context_switch_interval : int option;
-      (** Flush JTEs every n retired native instructions (OS model). *)
+      (** Flush JTEs every n retired native instructions (OS model,
+          {!Scd_core.Engine.context_switch}); n must be positive. *)
   multi_table : bool;
       (** Section IV extension: give each dispatch site its own branch ID —
           a private (Rop, Rmask, Rbop-pc) set and branch-ID-tagged JTEs.

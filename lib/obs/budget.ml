@@ -37,9 +37,13 @@ let table =
     { name = "prof-span-on-1k"; minor_words_per_run = 97900.0 };
     (* ratcheted ~10x down when the predictor scans were hoisted to
        top-level tail recursion (no closure environments on the hot path);
-       the residue is bench-harness setup, not per-lookup cost *)
-    { name = "btb-lookup-insert-1k"; minor_words_per_run = 1770.0 };
-    { name = "engine-bop-1k"; minor_words_per_run = 1830.0 };
+       the residue is bench-harness setup, not per-lookup cost. Re-set
+       2026-10-17 to ~1.05x the highest of eight release-build runs
+       (1977, 2033): the kernels' exact allocation is unchanged (3054 and
+       3192 words/run by Gc.minor_words), but faster predictor code moved
+       where the estimate lands (see the note on the cosim micros) *)
+    { name = "btb-lookup-insert-1k"; minor_words_per_run = 2080.0 };
+    { name = "engine-bop-1k"; minor_words_per_run = 2130.0 };
     (* reusing one VM state across runs cut these from 137k/234k *)
     { name = "rvm-fib12"; minor_words_per_run = 53800.0 };
     { name = "svm-fib12"; minor_words_per_run = 5960.0 };
@@ -48,11 +52,18 @@ let table =
     (* the ROADMAP target, landed: the flat tape + SoA predictor refactor
        dropped steady-state co-simulation allocation ~30-45x (scd was
        825800); what remains is per-run setup (program compile, layout,
-       result snapshot), not per-bytecode traffic *)
-    { name = "cosim-fib10-baseline"; minor_words_per_run = 20900.0 };
-    { name = "cosim-fib10-jte"; minor_words_per_run = 18800.0 };
-    { name = "cosim-fib10-vbbi"; minor_words_per_run = 20900.0 };
-    { name = "cosim-fib10-scd"; minor_words_per_run = 28500.0 };
+       result snapshot), not per-bytecode traffic. Re-set 2026-10-17,
+       once the driver stopped allocating per bytecode (exact counts by
+       Gc.minor_words: 32062/28868/32062/35284 -> 25621/25621/25621/25629
+       words/run), to ~1.05x the highest of nine release-build runs. The
+       estimate comes from GC counters that only advance at minor
+       collections, so the same kernel reads anywhere in 12.9k-17.4k from
+       run to run; ceilings sit above that spread, and a 4-word record per
+       bytecode (~6.4k words/run) trips them *)
+    { name = "cosim-fib10-baseline"; minor_words_per_run = 17500.0 };
+    { name = "cosim-fib10-jte"; minor_words_per_run = 17500.0 };
+    { name = "cosim-fib10-vbbi"; minor_words_per_run = 17500.0 };
+    { name = "cosim-fib10-scd"; minor_words_per_run = 18300.0 };
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) table

@@ -135,8 +135,8 @@ let update t ~pc ~taken =
     let lpred = counter_taken s.local_patterns.(pi) in
     (* Train the chooser only when the components disagree. *)
     let ci = pc_index pc (Array.length s.chooser) in
-    if gpred <> lpred then
-      s.chooser.(ci) <- counter_update s.chooser.(ci) (gpred = taken);
+    if not (Bool.equal gpred lpred) then
+      s.chooser.(ci) <- counter_update s.chooser.(ci) (Bool.equal gpred taken);
     s.global.(gi) <- counter_update s.global.(gi) taken;
     s.local_patterns.(pi) <- counter_update s.local_patterns.(pi) taken;
     s.local_histories.(hi) <-

@@ -173,7 +173,7 @@ let consume_cell t ~pc ~flags ~arg1 ~arg2 =
       if predicted_taken then Btb.lookup_target t.btb ~jte:false ~key:pc
       else Btb.no_target
     in
-    if predicted_taken <> taken then begin
+    if not (Bool.equal predicted_taken taken) then begin
       s.cond_mispredicts <- s.cond_mispredicts + 1;
       mispredict t ~dispatch
     end

@@ -122,7 +122,7 @@ let of_assoc assoc =
   | [] -> Ok t
   | names -> Error ("missing stats fields: " ^ String.concat ", " names)
 
-let equal a b = to_assoc a = to_assoc b
+let equal a b = Stdlib.( = ) (to_assoc a) (to_assoc b)
 
 let total_mispredicts t =
   t.cond_mispredicts + t.indirect_mispredicts + t.return_mispredicts

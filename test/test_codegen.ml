@@ -154,17 +154,61 @@ let test_site_bases () =
      <> Layout.site_base svm_layout Layout.Common_site);
   check_bool "svm branch site distinct" true
     (Layout.site_base svm_layout Layout.Branch_site
-     <> Layout.site_base svm_layout Layout.Call_site)
+     <> Layout.site_base svm_layout Layout.Call_site);
+  (* placement, not just distinctness: moving a block moves BTB aliasing,
+     and with it the figures *)
+  check_bool "svm branch-tail block below call-tail block" true
+    (Layout.site_base svm_layout Layout.Branch_site
+     < Layout.site_base svm_layout Layout.Call_site)
 
 let test_blob_entries_resolvable () =
   let layout = build () in
-  Array.iter
-    (fun (b : Spec.rt_blob) ->
-      check_bool "blob entry in code region" true (Layout.blob_entry layout b.blob_id > 0))
+  Array.iteri
+    (fun i _ ->
+      check_bool "blob entry in code region" true (Layout.blob_entry layout i > 0))
     Spec.rvm.blobs;
+  for builtin = 0 to Scd_runtime.Builtins.count - 1 do
+    check_bool "builtin entry in code region" true
+      (Layout.builtin_entry layout builtin > 0)
+  done;
   Alcotest.check_raises "unknown blob"
     (Invalid_argument "Layout.blob_entry: unknown blob 999") (fun () ->
       ignore (Layout.blob_entry layout 999))
+
+(* The per-opcode tables [Layout.build] precomputes for the driver's
+   per-bytecode path must answer exactly what the spec's closures and
+   [Layout.site_base] do: every frontend's specs, every scheme, every
+   opcode, and every builtin's blob record. *)
+let test_derived_tables_match_spec () =
+  List.iter
+    (fun (spec : Spec.t) ->
+      List.iter
+        (fun scheme ->
+          let layout = build ~spec ~scheme () in
+          let name what op =
+            Printf.sprintf "%s/%s %s %d" spec.name (Scheme.name scheme) what op
+          in
+          for op = 0 to spec.num_opcodes - 1 do
+            let site =
+              match spec.dispatch_site op with
+              | `Common -> Layout.Common_site
+              | `Call_tail -> Layout.Call_site
+              | `Branch_tail -> Layout.Branch_site
+            in
+            check_bool (name "next site of op" op) true
+              (Layout.site_of_opcode layout op = site);
+            check_int (name "tail target of op" op)
+              (Layout.site_base layout site)
+              (Layout.tail_target layout op);
+            check_bool (name "handler spec of op" op) true
+              (Layout.handler layout op = spec.handler op)
+          done;
+          for builtin = 0 to Scd_runtime.Builtins.count - 1 do
+            check_bool (name "blob record of builtin" builtin) true
+              (Layout.builtin_blob layout builtin = spec.builtin_blob builtin)
+          done)
+        Scheme.all)
+    [ Spec.rvm; Spec.rvm_fused; Spec.rvm_replicated; Spec.svm ]
 
 let prop_handler_entries_aligned =
   QCheck.Test.make ~name:"handler entries are word-aligned" ~count:50
@@ -197,6 +241,7 @@ let () =
           Alcotest.test_case "access regions" `Quick test_access_addresses_disjoint_regions;
           Alcotest.test_case "site bases" `Quick test_site_bases;
           Alcotest.test_case "blob entries" `Quick test_blob_entries_resolvable;
+          Alcotest.test_case "derived tables" `Quick test_derived_tables_match_spec;
           QCheck_alcotest.to_alcotest prop_handler_entries_aligned;
         ] );
     ]

@@ -69,13 +69,13 @@ let test_engine_opcode_bounds () =
       ignore (Engine.bop engine ~opcode:1024))
 
 let test_engine_context_switch_flush () =
-  let engine = Engine.create ~context_switch_interval:100 (fresh_btb ()) in
+  let engine = Engine.create (fresh_btb ()) in
   Engine.jru engine ~opcode:(Some 1) ~target:0x10;
-  Engine.retire engine 99;
-  check_int "still resident" 1 (Engine.jte_population engine);
-  Engine.retire engine 1;
-  check_int "flushed at interval" 0 (Engine.jte_population engine);
-  check_int "context switch recorded" 1 (Engine.stats engine).context_switch_flushes
+  check_int "resident before the switch" 1 (Engine.jte_population engine);
+  Engine.context_switch engine;
+  check_int "flushed by the switch" 0 (Engine.jte_population engine);
+  check_int "context switch recorded" 1 (Engine.stats engine).context_switch_flushes;
+  check_int "counted as a JTE flush" 1 (Engine.stats engine).flushes
 
 let test_engine_respects_btb_cap () =
   let engine = Engine.create (fresh_btb ~entries:64 ~jte_cap:4 ()) in

@@ -453,10 +453,10 @@ let test_stamped_tape_words_identical () =
       ("lua", Scheme.Scd, false, Some 2_000, 10);
       ("js", Scheme.Scd, true, Some 2_000, 11) ]
 
-(* Stamping has no fallback: [emit_blob] raises on a blob id that
-   [build_templates] did not enumerate. Pin the enumeration: after a
-   stamped run, every spec's template set holds each [spec.blobs] id and
-   each builtin's blob, under every scheme. *)
+(* Stamping has no fallback: a template set holds one blob template per
+   [spec.blobs] index and one per builtin, indexed as the layout indexes
+   blob entries. Pin that after a stamped run, for every spec and scheme:
+   template [i] is a call into blob [i]'s entry that ends in the return. *)
 let test_templates_cover_every_blob () =
   List.iter
     (fun (vm, superinstructions, bytecode_replication) ->
@@ -478,17 +478,37 @@ let test_templates_cover_every_blob () =
                 Alcotest.failf "%s/%s: the run built no template set" vm
                   (Scheme.name scheme))
           in
-          let holds (b : Scd_codegen.Spec.rt_blob) =
-            check_bool
-              (Printf.sprintf "%s/%s template set holds blob %d" vm
-                 (Scheme.name scheme) b.blob_id)
-              true
-              (Hashtbl.mem ts.Scd_codegen.Template.blobs b.blob_id)
+          let layout =
+            Scd_codegen.Layout.build ~spec ~scheme ~fn_code_sizes:[| 0 |]
+              ~fn_const_counts:[| 0 |]
           in
-          Array.iter holds spec.blobs;
-          for builtin = 0 to Scd_runtime.Builtins.count - 1 do
-            holds (spec.builtin_blob builtin)
-          done)
+          let name fmt =
+            Printf.ksprintf
+              (fun m -> Printf.sprintf "%s/%s %s" vm (Scheme.name scheme) m)
+              fmt
+          in
+          let check_blob what ~entry i (t : Scd_codegen.Template.t) =
+            let open Scd_isa.Event in
+            let cells = t.cells in
+            let last = Array.length cells - cell_words in
+            check_bool (name "%s %d starts with its call" what i) true
+              (last > 0 && cells.(1) land 0xF = tag_call);
+            check_int (name "%s %d calls its entry" what i) (entry i) cells.(2);
+            check_bool (name "%s %d ends with the return" what i) true
+              (cells.(last + 1) land 0xF = tag_return)
+          in
+          check_int (name "one template per spec.blobs entry")
+            (Array.length spec.blobs)
+            (Array.length ts.Scd_codegen.Template.blobs);
+          Array.iteri
+            (check_blob "blob" ~entry:(Scd_codegen.Layout.blob_entry layout))
+            ts.blobs;
+          check_int (name "one template per builtin")
+            Scd_runtime.Builtins.count (Array.length ts.builtins);
+          Array.iteri
+            (check_blob "builtin"
+               ~entry:(Scd_codegen.Layout.builtin_entry layout))
+            ts.builtins)
         Scheme.all)
     [ ("lua", false, false); ("lua", true, false); ("lua", false, true);
       ("js", false, false) ]
@@ -536,13 +556,13 @@ let test_flat_event_delivery_allocation_free () =
       ~replacement:machine.btb_replacement ()
   in
   let interval = 97 in
-  let engine = Scd_core.Engine.create ~context_switch_interval:interval btb in
+  let engine = Scd_core.Engine.create btb in
   let pipeline =
     Scd_uarch.Pipeline.create ~btb
       ~indirect:(Scheme.indirect_scheme Scheme.Scd) machine
   in
   Scd_uarch.Pipeline.set_retire_boundary pipeline ~every:interval (fun () ->
-      Scd_core.Engine.retire engine interval);
+      Scd_core.Engine.context_switch engine);
   let tape = tape_create () in
   let step i =
     let pc = 0x1000 + ((i land 63) * 4) in
@@ -562,9 +582,12 @@ let test_flat_event_delivery_allocation_free () =
     Scd_uarch.Pipeline.consume_tape pipeline tape;
     (* the engine's architectural fast path, at the flush boundary like the
        driver: probe, install a JTE on a miss *)
-    if Scd_core.Engine.bop_target engine ~opcode = Scd_core.Engine.no_target
+    if
+      Scd_core.Engine.bop_target engine ~table:0 ~opcode
+      = Scd_core.Engine.no_target
     then
-      Scd_core.Engine.jru_code engine ~opcode ~target:(0x4000 + (opcode * 8));
+      Scd_core.Engine.jru_code engine ~table:0 ~opcode
+        ~target:(0x4000 + (opcode * 8));
     tape_clear tape;
     tape_push tape ~pc:(pc + 12)
       ~flags:(tag_bop lor flag_dispatch)
