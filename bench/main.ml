@@ -135,56 +135,31 @@ let run_experiments ~quick ~csv ~only ~pool =
 
 let micro_tests () =
   let open Bechamel in
-  (* pipeline throughput on a plain instruction stream, via the boxed
-     event API: allocates one Event.t record per consumed instruction.
-     The pipeline lives outside the staged closure so the run measures
-     steady-state consumption only, not per-run setup. *)
-  let pipeline_consume =
+  (* pipeline throughput on a plain instruction stream: 1000 single plain
+     cells on a tape filled once, outside the staged closure, and drained
+     through consume_tape on every run. The pipeline lives outside the
+     closure too, so the run measures steady-state consumption only, not
+     per-run setup. With the default Probe.null (one physical-equality
+     check per instruction) the drain must allocate nothing *)
+  let plain_tape = Scd_isa.Event.tape_create ~capacity:1000 () in
+  for i = 0 to 999 do
+    Scd_isa.Event.tape_push plain_tape ~pc:(0x1000 + (4 * (i land 255)))
+      ~flags:Scd_isa.Event.tag_plain ~arg1:0 ~arg2:(-1)
+  done;
+  let tape_micro name probe =
     let p = Scd_uarch.Pipeline.create Scd_uarch.Config.simulator in
-    Test.make ~name:"pipeline-consume-1k"
-      (Staged.stage (fun () ->
-           for i = 0 to 999 do
-             Scd_uarch.Pipeline.consume p (Scd_isa.Event.plain (0x1000 + (4 * (i land 255))))
-           done))
+    Scd_uarch.Pipeline.set_probe p probe;
+    Test.make ~name
+      (Staged.stage (fun () -> Scd_uarch.Pipeline.consume_tape p plain_tape))
   in
-  (* the same stream through the allocation-free scratch hot path used by
-     the co-simulation driver: one mutable record overwritten in place,
-     so steady-state minor allocation is zero *)
-  let scratch_loop p s =
-    for i = 0 to 999 do
-      s.Scd_isa.Event.s_pc <- 0x1000 + (4 * (i land 255));
-      s.Scd_isa.Event.s_tag <- Scd_isa.Event.tag_plain;
-      s.Scd_isa.Event.s_dispatch <- false;
-      s.Scd_isa.Event.s_sets_rop <- false;
-      Scd_uarch.Pipeline.consume_scratch p s
-    done
-  in
-  let pipeline_consume_scratch =
-    let p = Scd_uarch.Pipeline.create Scd_uarch.Config.simulator in
-    let s = Scd_isa.Event.scratch_create () in
-    Test.make ~name:"pipeline-consume-scratch-1k"
-      (Staged.stage (fun () -> scratch_loop p s))
-  in
-  (* the telemetry acceptance gate: with the probe disabled (the default
-     Probe.null), the scratch hot path must still retire events with zero
-     additional minor-heap allocation — the disabled path is one physical
-     equality check *)
-  let pipeline_scratch_probe_off =
-    let p = Scd_uarch.Pipeline.create Scd_uarch.Config.simulator in
-    Scd_uarch.Pipeline.set_probe p Scd_obs.Probe.null;
-    let s = Scd_isa.Event.scratch_create () in
-    Test.make ~name:"pipeline-scratch-probe-off-1k"
-      (Staged.stage (fun () -> scratch_loop p s))
+  let pipeline_consume_tape =
+    tape_micro "pipeline-consume-tape-1k" Scd_obs.Probe.null
   in
   (* and the enabled-path cost: a counting retire hook on every instruction *)
-  let pipeline_scratch_probe_on =
-    let p = Scd_uarch.Pipeline.create Scd_uarch.Config.simulator in
+  let pipeline_tape_probe_on =
     let retired = ref 0 in
-    Scd_uarch.Pipeline.set_probe p
-      (Scd_obs.Probe.create ~on_retire:(fun () -> incr retired) ());
-    let s = Scd_isa.Event.scratch_create () in
-    Test.make ~name:"pipeline-scratch-probe-on-1k"
-      (Staged.stage (fun () -> scratch_loop p s))
+    tape_micro "pipeline-tape-probe-on-1k"
+      (Scd_obs.Probe.create ~on_retire:(fun () -> incr retired) ())
   in
   let btb_ops =
     Test.make ~name:"btb-lookup-insert-1k"
@@ -274,7 +249,7 @@ let micro_tests () =
   in
   (* the disabled host-profiler span: with no active profile the probe is
      one ref load and match, so minor allocation must stay at zero — the
-     Prof counterpart of pipeline-scratch-probe-off *)
+     Prof counterpart of pipeline-consume-tape *)
   let noop = fun () -> () in
   let prof_span_off =
     Test.make ~name:"prof-span-off-1k"
@@ -312,8 +287,8 @@ let micro_tests () =
                 { Scd_cosim.Driver.default_config with scheme }
                 ~source:fib10)))
   in
-  [ pipeline_consume; pipeline_consume_scratch; pipeline_scratch_probe_off;
-    pipeline_scratch_probe_on; prof_span_off; prof_span_on; btb_ops;
+  [ pipeline_consume_tape; pipeline_tape_probe_on; prof_span_off;
+    prof_span_on; btb_ops;
     engine_bop; rvm_interp; svm_interp; direction; asm_exec;
     cosim_micro Scd_core.Scheme.Baseline "baseline";
     cosim_micro Scd_core.Scheme.Jump_threading "jte";

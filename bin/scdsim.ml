@@ -128,22 +128,8 @@ let run_cmd =
          & info [ "super" ]
              ~doc:"Fuse compare+branch bytecode pairs (register VM only).")
   in
-  let event_path =
-    (* the smoke rule in test/dune diffs stamped vs push output of one SCD
-       cell on every `dune runtest` *)
-    Arg.(value
-         & opt (enum [ ("stamped", `Flat); ("push", `Flat_push);
-                       ("boxed", `Boxed) ])
-             `Flat
-         & info [ "event-path" ] ~docv:"PATH"
-             ~doc:
-               "Event delivery: $(b,stamped) (template-stamped tape, the \
-                default), $(b,push) (cell-by-cell tape emission) or \
-                $(b,boxed) (legacy boxed events). All three must produce \
-                identical results; exposed for differential smoke tests.")
-  in
   let action workload file vm scheme machine scale show_output btb_entries
-      jte_cap multi_table superinstructions event_path =
+      jte_cap multi_table superinstructions =
     let source =
       match (workload, file) with
       | Some name, None -> (
@@ -179,7 +165,7 @@ let run_cmd =
           frontend = vm; scheme; machine; multi_table; superinstructions }
       in
       (try
-         let r = Scd_cosim.Driver.run ~event_path config ~source in
+         let r = Scd_cosim.Driver.run config ~source in
          print_result scheme r ~show_output;
          `Ok ()
        with
@@ -191,7 +177,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Co-simulate a script on the modelled embedded core")
     Term.(ret (const action $ workload $ file $ vm $ scheme $ machine $ scale
                $ show_output $ btb_entries $ jte_cap $ multi_table
-               $ superinstructions $ event_path))
+               $ superinstructions))
 
 (* ------------------------------------------------------------------ *)
 (* trace: co-simulate with telemetry attached                          *)

@@ -53,33 +53,25 @@ type expander = {
   pipeline : Pipeline.t;
   engine : Scd_core.Engine.t;
   stride : int;  (* bytes per bytecode pc unit: 4 for the register VM, 1 for the stack VM *)
-  cs_interval : int option;  (* boxed path only; see [flush] *)
   multi_table : bool;
       (* Section IV: one (Rop, Rmask, Rbop-pc) set per dispatch site, each
          with its own branch-ID-tagged jump table. *)
-  boxed : bool;
-      (* Legacy event path: decode each tape cell into a boxed [Event.t] and
-         feed {!Pipeline.consume}. Only the differential tests turn this on;
-         it must produce bit-identical results to the flat path. Runs have
-         no boxed form, so it emits plain instructions one cell each; the
-         flat paths emit a straight-line stretch as one [tag_plain_run]
-         cell. *)
   mutable prev_opcode : int;  (* -1 before the first dispatch *)
   last_bop_pcs : int array;  (* Rbop-pc, per branch ID *)
   mutable bytecodes : int;
-  mutable retired_since_cs : int;  (* boxed path only *)
   mutable epc : int;
       (* Emission cursor: the native PC the next emitted instruction will
          carry. A mutable field rather than a [ref] so positioning costs no
          allocation per bytecode. *)
   tape : Event.tape;
       (* The per-driver flat event buffer: every retired instruction of the
-         current batch is four ints written in place, drained in order by
-         the pipeline at the next flush point — no [Event.t] is allocated
-         per instruction. *)
+         current batch is four ints written in place (a straight-line
+         stretch is one run cell), drained in order by the pipeline at the
+         next flush point. *)
   trap : (Event.tape -> unit) option;
       (* Test observer: called on every non-empty tape batch just before it
-         is drained. [None] (the default) costs one field load per flush. *)
+         is drained, and free to rewrite it. [None] (the default) costs one
+         field load per flush. *)
   templates : Template.set option;
       (* Precompiled per-(site, opcode) cell templates: when present,
          [on_bytecode] stamps whole dispatcher / helper-call sequences with
@@ -107,39 +99,19 @@ let rop_ready exp =
    {!Scd_core.Engine.bop}/{!Scd_core.Engine.jru} (the engine reads and
    writes the shared BTB) and at the end of each bytecode. Under a
    context-switch interval the engine's JTE flush lands after the exact
-   retired instruction it would with one-at-a-time consumption: on the flat
-   paths through the pipeline's retire boundary, which splits run cells
-   that cross it; on the boxed path through its own per-cell counter, the
-   independent reference the differential tests compare against. *)
+   retired instruction it would with one-at-a-time consumption, through the
+   pipeline's retire boundary, which splits run cells that cross it. The
+   pipeline drains whatever the tape holds when the trap returns. *)
 let flush exp =
   let tape = exp.tape in
-  let cells = Event.tape_cells tape in
-  if cells > 0 then begin
+  if Event.tape_cells tape > 0 then begin
     (match exp.trap with None -> () | Some f -> f tape);
-    if exp.boxed then
-      for i = 0 to cells - 1 do
-        Pipeline.consume exp.pipeline (Event.tape_to_event tape i);
-        match exp.cs_interval with
-        | None -> ()
-        | Some interval ->
-          exp.retired_since_cs <- exp.retired_since_cs + 1;
-          if exp.retired_since_cs >= interval then begin
-            exp.retired_since_cs <- 0;
-            Scd_core.Engine.context_switch exp.engine
-          end
-      done
-    else Pipeline.consume_tape exp.pipeline tape;
+    Pipeline.consume_tape exp.pipeline tape;
     Event.tape_clear tape
   end
 
-(* Every emit helper appends one 4-int cell; payload defaults (arg1 = 0,
-   arg2 = -1) mirror [Event.scratch_create] so a decoded cell is identical
-   to a freshly allocated event. *)
-
-let emit_plain exp ~dispatch pc =
-  Event.tape_push exp.tape ~pc
-    ~flags:(Event.tag_plain lor (if dispatch then Event.flag_dispatch else 0))
-    ~arg1:0 ~arg2:(-1)
+(* Every emit helper appends one 4-int cell; a payload word the tag does
+   not define is [0] for arg1 and [-1] for arg2. *)
 
 let emit_mem exp ~dispatch ~sets_rop ~write pc ~addr =
   let flags =
@@ -188,18 +160,11 @@ let emit_jru exp pc ~opcode ~target =
     ~flags:(Event.tag_jru lor Event.flag_dispatch)
     ~arg1:target ~arg2:opcode
 
-(* Emit [n] consecutive plain instructions from the cursor: one
-   [tag_plain_run] cell on the flat paths, [n] plain cells on the boxed
-   one. *)
+(* Emit [n] consecutive plain instructions from the cursor as one
+   [tag_plain_run] cell. *)
 let emit_plain_run exp ~dispatch ~step n =
   if n > 0 then begin
-    (if exp.boxed then
-       for k = 0 to n - 1 do
-         emit_plain exp ~dispatch (exp.epc + (k * step))
-       done
-     else
-       Event.tape_push_run exp.tape ~pc:exp.epc ~dispatch ~count:n
-         ~stride:step);
+    Event.tape_push_run exp.tape ~pc:exp.epc ~dispatch ~count:n ~stride:step;
     exp.epc <- exp.epc + (n * step)
   end
 
@@ -416,8 +381,8 @@ let dispatch_site exp =
   if exp.prev_opcode < 0 then Layout.Common_site
   else Layout.site_of_opcode exp.layout exp.prev_opcode
 
-(* Cell-by-cell dispatch emission (no templates: the [`Flat_push] and
-   boxed paths). *)
+(* Cell-by-cell dispatch emission (no templates: the [`Flat_push] test
+   reference). *)
 let push_dispatch exp ~opcode ~fetch_addr =
   match exp.scheme with
   | Scd_core.Scheme.Jump_threading ->
@@ -551,13 +516,10 @@ let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
       pipeline;
       engine;
       stride = 1 (* never used: the builder sees no bytecode fetches *);
-      cs_interval = None;
       multi_table = false;
-      boxed = false (* templates serve the flat path only *);
       prev_opcode = -1;
       last_bop_pcs = Array.make 3 (-1);
       bytecodes = 0;
-      retired_since_cs = 0;
       epc = 0;
       tape = Event.tape_create ~capacity:256 ();
       trap = None;
@@ -686,15 +648,17 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
           ~fn_const_counts:(F.fn_const_counts program))
   in
   let templates =
-    (* [`Flat_push] deliberately keeps the cell-by-cell emitters alive for
-       word-for-word differential testing against the stamps. *)
-    if event_path = `Flat then
+    match event_path with
+    | `Flat ->
       Some
         (Scd_obs.Prof.span "templates" (fun () ->
              Template.find_or_build ~spec ~scheme:config.scheme (fun () ->
                  build_templates ~layout ~spec ~scheme:config.scheme ~pipeline
                    ~engine)))
-    else None
+    | `Flat_push ->
+      (* the test-only reference: the template builder's own cell-by-cell
+         emitters, compared word for word against the stamps *)
+      None
   in
   let exp =
     {
@@ -704,13 +668,10 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
       pipeline;
       engine;
       stride = F.stride;
-      cs_interval = config.context_switch_interval;
       multi_table = config.multi_table;
-      boxed = event_path = `Boxed;
       prev_opcode = -1;
       last_bop_pcs = Array.make 3 (-1);
       bytecodes = 0;
-      retired_since_cs = 0;
       epc = 0;
       tape = Event.tape_create ~capacity:256 ();
       trap = tape_trap;
@@ -718,10 +679,10 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
     }
   in
   (match config.context_switch_interval with
-   | Some interval when not exp.boxed ->
+   | Some interval ->
      Pipeline.set_retire_boundary pipeline ~every:interval (fun () ->
          Scd_core.Engine.context_switch engine)
-   | _ -> ());
+   | None -> ());
   let ctx = Builtins.create_ctx ~seed:config.seed () in
   Scd_obs.Prof.span "execute" (fun () ->
       F.run program ~ctx ~trace:(trace_callback exp telemetry));

@@ -4,8 +4,8 @@
     The chosen VM executes the script for real (its semantics run in OCaml);
     every executed bytecode is expanded — through the dispatch scheme's code
     layout — into the native-instruction event stream the interpreter binary
-    would retire, and that stream drives the {!Scd_uarch.Pipeline} timing
-    model. The SCD scheme consults the {!Scd_core.Engine} *while generating
+    would retire, and that stream, batched per bytecode on a flat
+    {!Scd_isa.Event.tape}, drives the {!Scd_uarch.Pipeline} timing model. The SCD scheme consults the {!Scd_core.Engine} *while generating
     the stream*, because a [bop] hit architecturally skips the slow-path
     instructions.
 
@@ -69,35 +69,34 @@ val runs : unit -> int
 
 val run :
   ?telemetry:Telemetry.t ->
-  ?event_path:[ `Flat | `Flat_push | `Boxed ] ->
+  ?event_path:[ `Flat | `Flat_push ] ->
   ?tape_trap:(Scd_isa.Event.tape -> unit) ->
   run_config ->
   source:string ->
   result
 (** Compile and co-simulate [source]. Raises on script errors.
 
-    [tape_trap], when given, observes every non-empty event-tape batch just
-    before the timing model drains it (tests use it to assert properties of
-    the raw cells — e.g. replica PC spacing, or word-for-word equality
-    between emission strategies). The tape contents are only valid for the
-    duration of the callback.
+    Every bytecode's expansion is batched on one flat event tape
+    ({!Scd_isa.Event.tape}), straight-line code as run-length cells, and
+    drained through {!Scd_uarch.Pipeline.consume_tape}. The tape is filled
+    by stamping precompiled per-(site, opcode) cell templates
+    ({!Scd_codegen.Template}), patching only the run-dependent words. A
+    [context_switch_interval] is armed as the pipeline's retire boundary
+    ({!Scd_uarch.Pipeline.set_retire_boundary}), which splits a run cell
+    at the exact instruction where the JTE flush falls.
 
-    [event_path] selects how expanded events reach the timing model.
-    [`Flat] (the default) drains the preallocated flat event tape —
-    allocation-free per bytecode — and fills it by stamping precompiled
-    per-(site, opcode) cell templates ({!Scd_codegen.Template}), patching
-    only the run-dependent words. [`Flat_push] uses the same tape but
-    derives every cell through the cell-by-cell emitters; the differential
-    tests compare the two tapes word for word. Both flat paths encode
-    straight-line code as run-length cells, also under a
-    [context_switch_interval]: the interval is armed as the pipeline's
-    retire boundary ({!Scd_uarch.Pipeline.set_retire_boundary}), which
-    splits a run cell at the exact instruction where the JTE flush falls.
-    [`Boxed] decodes every tape cell into a boxed {!Scd_isa.Event.t}, one
-    cell per instruction, feeds {!Scd_uarch.Pipeline.consume} and counts
-    retired instructions for the context-switch model itself: the legacy
-    delivery path, kept so the differential tests can assert all paths
-    produce bit-identical results.
+    [tape_trap], when given, is called with every non-empty batch just
+    before the timing model drains it. Tests use it to observe the raw
+    cells (e.g. replica PC spacing, or word-for-word equality between
+    emission strategies) and may rewrite the batch in place: the pipeline
+    drains whatever the tape holds when the trap returns. The tape is only
+    valid for the duration of the callback.
+
+    [event_path] is a test-only switch. [`Flat] (the default) stamps
+    templates; [`Flat_push] derives every cell through the cell-by-cell
+    emitters the templates are built from. It is the only check on the
+    stamps' patch words: the differential tests compare the two tapes word
+    for word.
 
     [telemetry], when given, is attached for the duration of the run: the
     pipeline probe samples interval time series, and every bytecode's

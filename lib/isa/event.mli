@@ -1,141 +1,112 @@
-(** Dynamic instruction events.
+(** Dynamic instruction events, on a flat tape.
 
     A simulated run — whether execution-driven (the ERV32 functional
-    executor) or trace-driven (the VM co-simulator) — is a stream of these
-    events in program order. The timing model ({!Scd_uarch.Pipeline}) consumes
-    them one at a time; it never needs architectural register values, only
-    PCs, control-flow outcomes and memory addresses. *)
+    executor, {!Exec}) or trace-driven (the VM co-simulator) — is a stream
+    of retired instructions in program order. The timing model
+    ({!Scd_uarch.Pipeline.consume_tape}) never needs architectural register
+    values, only PCs, control-flow outcomes and memory addresses, so each
+    instruction is one 4-word cell of a preallocated [int array]:
+    [pc; flags; arg1; arg2].
 
-type kind =
-  | Plain  (** ALU, lui, setmask, ... one issue slot, no memory port. *)
-  | Mem_read of { addr : int }
-  | Mem_write of { addr : int }
-  | Cond_branch of { taken : bool; target : int }
-      (** [target] is the taken-path PC (used for BTB training). *)
-  | Jump of { target : int }  (** Direct unconditional jump. *)
-  | Ind_jump of { target : int; hint : int option }
-      (** Indirect jump via register. [hint] is the compiler-identified value
-          correlated with the target (the opcode, for the dispatch jump);
-          the VBBI predictor indexes the BTB with a hash of PC and hint. *)
-  | Call of { target : int; indirect : bool; link : int }
-      (** [link] is the architectural return address pushed on the RAS;
-          [-1] means the default [pc + 4] (a 4-byte call instruction). Call
-          sites emitted at a wider stride (jump-threading handler replicas
-          spaced {!Scd_codegen.Layout.hot_stride} apart) carry their real
-          [pc + stride] link so the matching {!Return} target agrees with
-          the RAS prediction. *)
-  | Return of { target : int }
-  | Bop of { opcode : int; hit : bool; target : int }
-      (** SCD branch-on-opcode. [hit] and [target] are decided by the SCD
-          engine at trace time (the BTB is architecturally visible); the
-          pipeline charges stall bubbles and records fast-path statistics.
-          On a miss [target] is the fall-through PC. *)
-  | Jru of { opcode : int option; target : int }
-      (** SCD jump-register-with-JTE-update: times like an indirect jump;
-          the JTE insertion has already been performed by the engine. *)
-  | Jte_flush
+    - [pc] is the instruction's byte address.
+    - [flags] packs one [tag_*] constant in bits 0-3 and the [flag_*]
+      booleans in bits 4-8. A flag the tag does not define is never read.
+    - [arg1] is the memory address (mem tags) or branch target (control
+      tags); [0] where the tag defines none.
+    - [arg2] is the hint, opcode or call link; [-1] = none.
 
-type t = {
-  pc : int;  (** Byte address of the instruction. *)
-  kind : kind;
-  dispatch : bool;
-      (** True when the instruction belongs to the interpreter dispatcher
-          code (fetch/decode/bound-check/target-calculation/jump); drives the
-          paper's Figure 2 and Figure 3 accounting. *)
-  sets_rop : bool;
-      (** True for [.op]-suffixed instructions; lets the pipeline model the
-          Rop-not-ready stall before a subsequent [bop]. *)
-}
+    The producer batches the cells of one bytecode and the consumer drains
+    them in order, so steady-state event delivery touches no boxed values
+    at all. The buffer doubles on overflow, which stops happening once the
+    largest per-batch burst has been seen. *)
 
-val plain : ?dispatch:bool -> ?sets_rop:bool -> int -> t
-(** [plain pc] is a non-memory, non-control event. *)
-
-val make : ?dispatch:bool -> ?sets_rop:bool -> int -> kind -> t
-
-val is_control : t -> bool
-(** True for every kind that can redirect the PC. *)
-
-(** {2 Allocation-free scratch representation}
-
-    A [scratch] is a single mutable record overwritten in place and handed
-    to {!Scd_uarch.Pipeline.consume_scratch} synchronously, so it carries
-    one event without allocating. Co-simulation delivers events on the
-    flat {!type-tape} instead; the scratch remains only as the staging
-    record of the boxed {!Scd_uarch.Pipeline.consume} shim and as a
-    reference for benchmarks and tests. Option-typed payloads are encoded
-    as [-1] for [None]. Payload fields not named by the current [s_tag]
-    may hold stale values; consumers must only read the fields the tag
-    defines (plus [s_pc], [s_dispatch], [s_sets_rop], which are always
-    valid). *)
-
-type scratch = {
-  mutable s_pc : int;
-  mutable s_tag : int;  (** One of the [tag_*] constants below. *)
-  mutable s_dispatch : bool;
-  mutable s_sets_rop : bool;
-  mutable s_addr : int;  (** [tag_mem_read] / [tag_mem_write]. *)
-  mutable s_taken : bool;  (** [tag_cond_branch]. *)
-  mutable s_target : int;  (** Every control tag. *)
-  mutable s_hint : int;
-      (** [tag_ind_jump]: value hint, [-1] = no hint.
-          [tag_call]: RAS link address, [-1] = default [pc + 4]. *)
-  mutable s_opcode : int;  (** [tag_bop] / [tag_jru]; [-1] = none. *)
-  mutable s_hit : bool;  (** [tag_bop]. *)
-  mutable s_indirect : bool;  (** [tag_call]. *)
-}
+(** {2 Tags} *)
 
 val tag_plain : int
+(** ALU, lui, setmask, halt, ...: one issue slot, no memory port. *)
+
 val tag_mem_read : int
+(** A load from address [arg1]. *)
+
 val tag_mem_write : int
+(** A store to address [arg1]. *)
+
 val tag_cond_branch : int
+(** A conditional branch; {!flag_taken} gives the outcome and [arg1] the
+    taken-path target (used for BTB training either way). *)
+
 val tag_jump : int
+(** A direct unconditional jump to [arg1]. *)
+
 val tag_ind_jump : int
+(** An indirect jump via register to [arg1]. [arg2] is the
+    compiler-identified value hint correlated with the target (the opcode,
+    for the dispatch jump), [-1] = no hint; the VBBI predictor indexes the
+    BTB with a hash of PC and hint. *)
+
 val tag_call : int
+(** A call to [arg1], indirect when {!flag_indirect} is set. [arg2] is the
+    architectural return address pushed on the RAS; [-1] means the default
+    [pc + 4] (a 4-byte call instruction). Call sites emitted at a wider
+    stride (jump-threading handler replicas spaced
+    {!Scd_codegen.Layout.hot_stride} apart) carry their real [pc + stride]
+    link so the matching {!tag_return} target agrees with the RAS
+    prediction. *)
+
 val tag_return : int
+(** A return to [arg1], predicted by the RAS. *)
+
 val tag_bop : int
+(** SCD branch-on-opcode for opcode [arg2]. {!flag_hit} and the target
+    [arg1] are decided by the SCD engine at trace time (the BTB is
+    architecturally visible); the pipeline charges stall bubbles and
+    records fast-path statistics. On a miss [arg1] is the fall-through
+    PC. *)
+
 val tag_jru : int
+(** SCD jump-register-with-JTE-update to [arg1], for opcode [arg2] ([-1]
+    when Rop was not valid): times like an indirect jump. The JTE
+    insertion has already been performed by the engine when the cell is
+    consumed. *)
+
 val tag_jte_flush : int
+(** SCD jump-table flush: one plain issue slot; the engine has already
+    invalidated the JTEs. *)
 
 val tag_plain_run : int
-(** Tape-only: a run of [arg1] consecutive plain instructions starting at
-    the cell's [pc], spaced [arg2] bytes apart, sharing its dispatch flag.
-    Consumed in aggregate by {!Scd_uarch.Pipeline.consume_tape} with
-    bit-identical stats, cycles and cache/TLB traffic; never decoded into a
-    boxed {!type-t}. *)
+(** A run of [arg1] consecutive plain instructions starting at the cell's
+    [pc], spaced [arg2] bytes apart, sharing its dispatch flag (and
+    defining no other). Consumed in aggregate by
+    {!Scd_uarch.Pipeline.consume_tape} with bit-identical stats, cycles and
+    cache/TLB traffic to [arg1] single {!tag_plain} cells. *)
 
-val scratch_create : unit -> scratch
-(** A fresh scratch holding a plain event at PC 0. *)
+(** {2 Flags} *)
 
-val scratch_is_mem : scratch -> bool
-val scratch_is_control : scratch -> bool
+val flag_dispatch : int
+(** The instruction belongs to the interpreter dispatcher code
+    (fetch/decode/bound-check/target-calculation/jump); drives the paper's
+    Figure 2 and Figure 3 accounting. Every tag. *)
 
-val load_scratch : scratch -> t -> unit
-(** Overwrite [scratch] with the contents of a boxed event. *)
+val flag_sets_rop : int
+(** An [.op]-suffixed instruction; lets the pipeline model the
+    Rop-not-ready stall before a subsequent [bop]. Every tag but
+    {!tag_plain_run}. *)
 
-(** {2 Flat event tape}
+val flag_taken : int
+(** {!tag_cond_branch} only. *)
 
-    A [tape] is a preallocated flat [int array] of 4-word cells —
-    [pc; flags; arg1; arg2] — written in place by a trace producer and
-    consumed by index ({!Scd_uarch.Pipeline.consume_tape}). [flags] packs
-    the [tag_*] constant in bits 0-3 and dispatch / sets_rop / taken / hit /
-    indirect in bits 4-8; [arg1] is the memory address (mem tags) or branch
-    target (control tags); [arg2] is the hint, opcode or call link,
-    [-1] = none. The
-    producer batches the events of one bytecode and the consumer drains them
-    in order, so steady-state event delivery touches no boxed values at
-    all. The buffer doubles on overflow, which stops happening once the
-    largest per-batch burst has been seen. *)
+val flag_hit : int
+(** {!tag_bop} only. *)
+
+val flag_indirect : int
+(** {!tag_call} only. *)
+
+(** {2 The tape} *)
 
 type tape
 
 val cell_words : int
 (** Words per cell (4). *)
-
-val flag_dispatch : int
-val flag_sets_rop : int
-val flag_taken : int
-val flag_hit : int
-val flag_indirect : int
 
 val tape_create : ?capacity:int -> unit -> tape
 (** [capacity] is in cells (default 64). *)
@@ -188,13 +159,6 @@ val tape_snapshot : tape -> from:int -> int array
 
 val tape_cell_tag : tape -> int -> int
 val tape_cell_pc : tape -> int -> int
-val tape_cell_dispatch : tape -> int -> bool
 val tape_cell_arg1 : tape -> int -> int
 val tape_cell_arg2 : tape -> int -> int
 (** Raw accessors for cell [i]. *)
-
-val tape_to_event : tape -> int -> t
-(** Boxed decode of cell [i] (for differential testing of the legacy
-    path). *)
-
-val pp : Format.formatter -> t -> unit

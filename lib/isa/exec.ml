@@ -19,7 +19,7 @@ type t = {
   regs : int array;
   memory : (int, int) Hashtbl.t; (* byte address -> byte *)
   scd : scd_backend;
-  sink : (Event.t -> unit) option;
+  tape : Event.tape option;
   mutable pc : int;
   mutable halted : bool;
   mutable retired : int;
@@ -32,14 +32,14 @@ type t = {
 
 let word_mask = 0xFFFFFFFF
 
-let create ?scd ?sink program =
+let create ?scd ?tape program =
   let scd = match scd with Some s -> s | None -> unbounded_backend () in
   {
     program;
     regs = Array.make 32 0;
     memory = Hashtbl.create 1024;
     scd;
-    sink;
+    tape;
     pc = program.base;
     halted = false;
     retired = 0;
@@ -113,14 +113,24 @@ let latch_rop t result =
   t.rop_d <- result land t.rmask;
   t.rop_v <- true
 
-let emit t event = match t.sink with Some f -> f event | None -> ()
+(* Report one retired instruction as a tape cell; nothing is built when no
+   tape is attached. *)
+let emit t ~pc ~flags ~arg1 ~arg2 =
+  match t.tape with
+  | Some tape -> Event.tape_push tape ~pc ~flags ~arg1 ~arg2
+  | None -> ()
 
-(* Classify a jalr for the event stream: RISC-V-style conventions with r31 as
-   the link register. *)
-let classify_indirect ~rd ~base ~target =
-  if rd = 31 then Event.Call { target; indirect = true; link = -1 }
-  else if rd = 0 && base = 31 then Event.Return { target }
-  else Event.Ind_jump { target; hint = None }
+let emit_plain t ~sets_rop pc =
+  emit t ~pc
+    ~flags:(Event.tag_plain lor if sets_rop then Event.flag_sets_rop else 0)
+    ~arg1:0 ~arg2:(-1)
+
+(* A jalr's cell tag: RISC-V-style conventions with r31 as the link
+   register. *)
+let indirect_flags ~rd ~base =
+  if rd = 31 then Event.tag_call lor Event.flag_indirect
+  else if rd = 0 && base = 31 then Event.tag_return
+  else Event.tag_ind_jump
 
 let step t : stop_reason option =
   if t.halted then Some Halted
@@ -136,25 +146,29 @@ let step t : stop_reason option =
          let result = alu_eval op t.regs.(rs1) t.regs.(rs2) in
          set_reg t rd result;
          if op_suffix then latch_rop t result;
-         emit t (Event.plain ~sets_rop:op_suffix pc);
+         emit_plain t ~sets_rop:op_suffix pc;
          t.pc <- next
        | Alui { op; rd; rs1; imm; op_suffix } ->
          let result = alu_eval op t.regs.(rs1) (imm land word_mask) in
          set_reg t rd result;
          if op_suffix then latch_rop t result;
-         emit t (Event.plain ~sets_rop:op_suffix pc);
+         emit_plain t ~sets_rop:op_suffix pc;
          t.pc <- next
        | Load { width; rd; base; offset; op_suffix } ->
          let addr = (t.regs.(base) + offset) land word_mask in
          let value = load_width t width addr in
          set_reg t rd value;
          if op_suffix then latch_rop t value;
-         emit t (Event.make ~sets_rop:op_suffix pc (Mem_read { addr }));
+         emit t ~pc
+           ~flags:
+             (Event.tag_mem_read
+             lor if op_suffix then Event.flag_sets_rop else 0)
+           ~arg1:addr ~arg2:(-1);
          t.pc <- next
        | Store { width; src; base; offset } ->
          let addr = (t.regs.(base) + offset) land word_mask in
          store_width t width addr t.regs.(src);
-         emit t (Event.make pc (Mem_write { addr }));
+         emit t ~pc ~flags:Event.tag_mem_write ~arg1:addr ~arg2:(-1);
          t.pc <- next
        | Branch { cond; rs1; rs2; offset } ->
          let a = t.regs.(rs1) and b = t.regs.(rs2) in
@@ -168,28 +182,30 @@ let step t : stop_reason option =
            | Geu -> a >= b
          in
          let target = pc + offset in
-         emit t (Event.make pc (Cond_branch { taken; target }));
+         emit t ~pc
+           ~flags:
+             (Event.tag_cond_branch lor if taken then Event.flag_taken else 0)
+           ~arg1:target ~arg2:(-1);
          t.pc <- (if taken then target else next)
        | Jal { rd; offset } ->
          let target = pc + offset in
          set_reg t rd next;
-         emit t
-           (Event.make pc
-              (if rd = 31 then Event.Call { target; indirect = false; link = -1 }
-               else Event.Jump { target }));
+         emit t ~pc
+           ~flags:(if rd = 31 then Event.tag_call else Event.tag_jump)
+           ~arg1:target ~arg2:(-1);
          t.pc <- target
        | Jalr { rd; base; offset } ->
          let target = (t.regs.(base) + offset) land lnot 3 land word_mask in
          set_reg t rd next;
-         emit t (Event.make pc (classify_indirect ~rd ~base ~target));
+         emit t ~pc ~flags:(indirect_flags ~rd ~base) ~arg1:target ~arg2:(-1);
          t.pc <- target
        | Lui { rd; imm } ->
          set_reg t rd (imm lsl 12);
-         emit t (Event.plain pc);
+         emit_plain t ~sets_rop:false pc;
          t.pc <- next
        | Setmask { rs } ->
          t.rmask <- t.regs.(rs);
-         emit t (Event.plain pc);
+         emit_plain t ~sets_rop:false pc;
          t.pc <- next
        | Bop ->
          (* Table I: hit requires Rbop-pc == PC, Rop valid, and a JTE for
@@ -200,32 +216,37 @@ let step t : stop_reason option =
          in
          (match hit_target with
           | Some target ->
-            emit t (Event.make pc (Bop { opcode = t.rop_d; hit = true; target }));
+            emit t ~pc
+              ~flags:(Event.tag_bop lor Event.flag_dispatch lor Event.flag_hit)
+              ~arg1:target ~arg2:t.rop_d;
             t.rop_v <- false;
             t.pc <- target
           | None ->
-            emit t (Event.make pc (Bop { opcode = t.rop_d; hit = false; target = next }));
+            emit t ~pc
+              ~flags:(Event.tag_bop lor Event.flag_dispatch)
+              ~arg1:next ~arg2:t.rop_d;
             t.pc <- next);
          t.rbop_pc <- pc
        | Jru { rd; base; offset } ->
          let target = (t.regs.(base) + offset) land lnot 3 land word_mask in
          set_reg t rd next;
-         let opcode = if t.rop_v then Some t.rop_d else None in
-         (match opcode with
-          | Some op_value ->
-            t.scd.jru_insert ~opcode:op_value ~target;
-            t.rop_v <- false
-          | None -> ());
-         emit t (Event.make pc (Jru { opcode; target }));
+         let opcode = if t.rop_v then t.rop_d else -1 in
+         if t.rop_v then begin
+           t.scd.jru_insert ~opcode ~target;
+           t.rop_v <- false
+         end;
+         emit t ~pc
+           ~flags:(Event.tag_jru lor Event.flag_dispatch)
+           ~arg1:target ~arg2:opcode;
          t.pc <- target
        | Jte_flush ->
          t.scd.jte_flush ();
          t.rop_v <- false;
-         emit t (Event.make pc Jte_flush);
+         emit t ~pc ~flags:Event.tag_jte_flush ~arg1:0 ~arg2:(-1);
          t.pc <- next
        | Halt ->
          t.halted <- true;
-         emit t (Event.plain pc);
+         emit_plain t ~sets_rop:false pc;
          t.pc <- next);
       if t.halted then Some Halted else None
 

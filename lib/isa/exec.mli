@@ -8,8 +8,13 @@
     against the microarchitectural BTB overlay from {!Scd_core}, whose finite
     capacity is architecturally visible through [bop].
 
-    Each retired instruction is optionally reported to an event sink for
-    timing simulation. *)
+    With a tape attached, each retired instruction is appended to it as one
+    {!Event} cell, in the co-simulator's encoding, for timing simulation
+    ({!Scd_uarch.Pipeline.consume_tape}). [bop] and [jru] cells carry
+    {!Event.flag_dispatch}, as the co-simulator's do; the executor cannot
+    tell other dispatcher code from handler code, so no other cell does.
+    Calls carry the default link ([-1] = [pc + 4]) and indirect jumps no
+    hint. *)
 
 type scd_backend = {
   bop_lookup : opcode:int -> int option;
@@ -24,10 +29,11 @@ val unbounded_backend : unit -> scd_backend
 
 type t
 
-val create :
-  ?scd:scd_backend -> ?sink:(Event.t -> unit) -> Asm.program -> t
+val create : ?scd:scd_backend -> ?tape:Event.tape -> Asm.program -> t
 (** A fresh machine at the program's base address with zeroed registers.
-    [scd] defaults to {!unbounded_backend}. *)
+    [scd] defaults to {!unbounded_backend}. [tape], when given, receives
+    one cell per retired instruction; the caller drains and clears it.
+    Without one the executor builds no event at all. *)
 
 val reg : t -> int -> int
 (** Architectural register read (32-bit value as a non-negative int). *)

@@ -12,7 +12,6 @@ type t = {
   itlb : Tlb.t;
   dtlb : Tlb.t;
   stats : Stats.t;
-  scratch : Event.scratch; (* staging area for the boxed [consume] shim *)
   mutable probe : Scd_obs.Probe.t;
       (* Telemetry hooks, [Probe.null] unless a sink attached one. All call
          sites guard with a physical-equality check against [Probe.null], so
@@ -51,7 +50,6 @@ let create ?btb ?(indirect = Indirect.Pc_btb) (config : Config.t) =
     itlb = Tlb.create ~entries:config.itlb_entries;
     dtlb = Tlb.create ~entries:config.dtlb_entries;
     stats = Stats.create ();
-    scratch = Event.scratch_create ();
     probe = Scd_obs.Probe.null;
     fetch_shift = Scd_util.Bits.log2 config.icache.block_bytes;
     last_fetch_block = -1;
@@ -144,12 +142,12 @@ let mispredict t ~dispatch =
   if t.probe != Scd_obs.Probe.null then
     t.probe.Scd_obs.Probe.on_mispredict ~dispatch
 
-(* The hot entry point: one tape cell's worth of locals — [flags] is the
-   cell's packed flags word, [arg1] the memory address or branch target,
-   [arg2] the hint / opcode / call link. Payload booleans are decoded from
-   [flags] only in the branch that reads them, and nothing is written back
-   to a record, so consuming a cell touches no memory beyond the model's
-   own state. {!consume_scratch} and {!consume} are shims over this. *)
+(* One non-run tape cell's worth of locals — [flags] is the cell's packed
+   flags word, [arg1] the memory address or branch target, [arg2] the
+   hint / opcode / call link. Payload booleans are decoded from [flags]
+   only in the branch that reads them, and nothing is written back to a
+   record, so consuming a cell touches no memory beyond the model's own
+   state. *)
 let consume_cell t ~pc ~flags ~arg1 ~arg2 =
   let s = t.stats in
   s.instructions <- s.instructions + 1;
@@ -279,29 +277,6 @@ let consume_cell t ~pc ~flags ~arg1 ~arg2 =
      cycle and miss accounting in full. *)
   if t.probe != Scd_obs.Probe.null then t.probe.Scd_obs.Probe.on_retire ()
 
-(* Re-pack a scratch record into cell locals. Stale payload fields are
-   harmless: a flag bit or payload word that the tag does not define is
-   never read by {!consume_cell}, mirroring the scratch contract. *)
-let consume_scratch t (ev : Event.scratch) =
-  let tag = ev.s_tag in
-  let flags =
-    tag
-    lor (if ev.s_dispatch then Event.flag_dispatch else 0)
-    lor (if ev.s_sets_rop then Event.flag_sets_rop else 0)
-    lor (if ev.s_taken then Event.flag_taken else 0)
-    lor (if ev.s_hit then Event.flag_hit else 0)
-    lor (if ev.s_indirect then Event.flag_indirect else 0)
-  in
-  consume_cell t ~pc:ev.s_pc ~flags
-    ~arg1:(if Event.scratch_is_mem ev then ev.s_addr else ev.s_target)
-    ~arg2:
-      (if tag = Event.tag_ind_jump || tag = Event.tag_call then ev.s_hint
-       else ev.s_opcode)
-
-let consume t ev =
-  Event.load_scratch t.scratch ev;
-  consume_scratch t t.scratch
-
 (* [issue] specialised to a plain (non-mem, non-control) instruction. *)
 let issue_plain t =
   if t.pair_open then t.pair_open <- false
@@ -362,8 +337,8 @@ let cross_boundaries t =
    crosses, with the callback between them. Each piece is aggregate-exact
    on its own and the callback runs between the same two instructions as
    on a one-cell-per-instruction tape, so the split changes nothing
-   observable. [cross_boundaries] has run since the last instruction, so
-   [room >= 1]. *)
+   observable. Every boundary reached so far has been crossed (see
+   {!consume_tape}), so [room >= 1]. *)
 let rec consume_plain_run_bounded t ~pc ~dispatch ~count ~stride =
   let room = t.boundary_at - t.stats.instructions in
   if count < room then consume_plain_run t ~pc ~dispatch ~count ~stride
@@ -377,11 +352,12 @@ let rec consume_plain_run_bounded t ~pc ~dispatch ~count ~stride =
 
 (* Walk the backing buffer directly: the tape only grows on the producer
    side, so the reference stays valid for the whole drain, and each cell
-   costs four loads feeding {!consume_cell} — no scratch round-trip. With
-   no boundary armed [boundary_at] is [max_int], so the boundary checks
-   never fire. *)
+   costs four loads feeding {!consume_cell}. A boundary is crossed right
+   after the cell that reaches it, and [set_retire_boundary] arms it
+   strictly ahead of the count, so between cells the count is always below
+   [boundary_at]. With no boundary armed [boundary_at] is [max_int], so
+   the boundary checks never fire. *)
 let consume_tape t tape =
-  cross_boundaries t;
   let words = Event.tape_extent tape in
   let buf = Event.tape_words tape in
   let i = ref 0 in

@@ -1,11 +1,13 @@
 (** In-order pipeline timing model.
 
-    The pipeline consumes a program-order stream of {!Scd_isa.Event.t} and
-    accumulates cycles and statistics. It does not model wrong-path
-    execution; a misprediction charges the configured flush penalty, which is
-    the dominant cost on the shallow in-order cores the paper targets.
+    The pipeline consumes a program-order stream of retired instructions,
+    delivered in batches on a flat {!Scd_isa.Event.tape} through
+    {!consume_tape}, its only entry point, and accumulates cycles and
+    statistics. It does not model wrong-path execution; a misprediction
+    charges the configured flush penalty, which is the dominant cost on the
+    shallow in-order cores the paper targets.
 
-    Cost model per event:
+    Cost model per instruction:
     - one issue slot (dual-issue pairs two consecutive instructions unless
       either is a memory operation following another memory operation in the
       same cycle, or the first is a control instruction);
@@ -48,36 +50,24 @@ val set_probe : t -> Scd_obs.Probe.t -> unit
 
 val probe : t -> Scd_obs.Probe.t
 
-val consume : t -> Scd_isa.Event.t -> unit
-(** Account one retired instruction. Convenience shim over
-    {!consume_scratch}: the event is unpacked into an internal scratch
-    record first. *)
-
-val consume_scratch : t -> Scd_isa.Event.scratch -> unit
-(** Account one retired instruction described by a caller-owned mutable
-    scratch record, without allocating. Co-simulation delivers events
-    through {!consume_tape}; this entry point remains as the staging step
-    of the boxed {!consume} shim and as a reference for benchmarks and
-    tests. The pipeline does not retain the scratch across calls. *)
-
 val consume_tape : t -> Scd_isa.Event.tape -> unit
 (** Account every cell of a flat event tape in order, reading each cell's
-    four words straight from the tape buffer (no intermediate record).
-    This is co-simulation's event delivery path. Allocation-free; the
-    caller clears and refills the tape between batches. Honours the retire
-    boundary, if one is armed. *)
+    four words straight from the tape buffer (no intermediate record); a
+    {!Scd_isa.Event.tag_plain_run} cell is accounted in aggregate, exactly
+    as its instructions would be one cell each. The only way to account
+    an instruction. Allocation-free; the caller clears and refills the
+    tape between batches. Honours the retire boundary, if one is armed. *)
 
 val set_retire_boundary : t -> every:int -> (unit -> unit) -> unit
 (** [set_retire_boundary t ~every f] arms a retire boundary: {!consume_tape}
     calls [f] each time the retired-instruction count reaches another
     multiple of [every] past the count at arming, right after the
-    instruction that reaches it. A {!Scd_isa.Event.tag_plain_run} cell that
-    crosses a boundary is consumed in pieces with [f] between them, so
-    statistics and callback order are exactly those of the same
-    instructions fed as one plain cell each. [f] must not touch the tape
-    being drained. Instructions accounted through {!consume} or
-    {!consume_scratch} count toward the boundary, but a boundary they reach
-    fires only at the start of the next {!consume_tape}. Re-arming replaces
-    the previous boundary. Co-simulation uses this for the OS
+    instruction that reaches it (the first boundary lies [every]
+    instructions after arming, never at the current count). A
+    {!Scd_isa.Event.tag_plain_run} cell that crosses a boundary is consumed
+    in pieces with [f] between them, so statistics and callback order are
+    exactly those of the same instructions fed as one plain cell each. [f]
+    must not touch the tape being drained. Re-arming replaces the previous
+    boundary. Co-simulation uses this for the OS
     context-switch model's periodic JTE flush. Raises [Invalid_argument]
     when [every <= 0]. *)

@@ -361,54 +361,90 @@ let test_codec_rejects_bad_payloads () =
   | Error m -> Alcotest.fail m
 
 (* ------------------------------------------------------------------ *)
-(* Flat event tape vs legacy boxed delivery                            *)
+(* Test-only references for the one event path                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The driver batches each bytecode's expansion into a flat int tape; the
-   [`Boxed] path decodes every cell into an [Event.t] and feeds the old
-   [Pipeline.consume]. The two deliveries must be bit-identical — same
-   cycles, same BTB stats, same engine counters — across schemes, VMs,
-   multi-table and context-switch configurations. Under a context switch
-   the flat path splits run cells at the pipeline's retire boundary while
-   the boxed path counts cells itself; a small prime interval lands
-   boundaries inside run cells. *)
-let test_event_paths_identical () =
-  List.iter
-    (fun (vm, scheme, cs, multi) ->
-      let go event_path =
-        Driver.run ~event_path
-          { Driver.default_config with frontend = Frontend.get vm; scheme;
-            context_switch_interval = cs; multi_table = multi }
-          ~source:small_script
-      in
-      check_bool
-        (Printf.sprintf "%s/%s identical across event paths" vm
-           (Scheme.name scheme))
-        true
-        (Result.equal (go `Flat) (go `Boxed)))
-    [ ("lua", Scheme.Baseline, None, false);
-      ("lua", Scheme.Scd, None, false);
-      ("lua", Scheme.Scd, Some 50_000, false);
-      ("lua", Scheme.Scd, Some 97, false);
-      ("js", Scheme.Scd, Some 97, true);
-      ("js", Scheme.Scd, None, true);
-      ("js", Scheme.Jump_threading, None, false);
-      ("lua", Scheme.Vbbi, None, false) ]
+(* A [tape_trap] that rewrites each batch with every [tag_plain_run] cell
+   expanded into single plain cells, exactly as a one-cell-per-instruction
+   producer would emit them. On the expanded tape the pipeline's
+   after-every-cell boundary check is a plain per-instruction counter, so
+   comparing a run with and without this trap checks run aggregation and
+   run splitting at the retire boundary against one instruction per
+   cell. *)
+let expand_runs tape =
+  let open Scd_isa.Event in
+  let words = tape_snapshot tape ~from:0 in
+  tape_clear tape;
+  for c = 0 to (Array.length words / cell_words) - 1 do
+    let base = c * cell_words in
+    let pc = words.(base) and flags = words.(base + 1) in
+    let arg1 = words.(base + 2) and arg2 = words.(base + 3) in
+    if flags land 0xF = tag_plain_run then
+      for k = 0 to arg1 - 1 do
+        tape_push tape ~pc:(pc + (k * arg2))
+          ~flags:(tag_plain lor (flags land flag_dispatch))
+          ~arg1:0 ~arg2:(-1)
+      done
+    else tape_push tape ~pc ~flags ~arg1 ~arg2
+  done
 
-let prop_event_paths_agree =
+(* Run [config] plain and with every run expanded: the two results must be
+   bit-identical. Under a context-switch interval it also applies the exact
+   flush-count oracle: the retire boundary fires at every multiple of the
+   interval, so a run of [n] instructions flushes the JTEs exactly
+   [n / interval] times. That pins the period [Driver.run] arms,
+   independently of the pipeline's boundary code. *)
+let check_runs_match_single_cells name (config : Driver.run_config) ~source =
+  let plain = Driver.run config ~source in
+  check_bool (name ^ ": identical with runs expanded") true
+    (Result.equal plain (Driver.run ~tape_trap:expand_runs config ~source));
+  match (config.context_switch_interval, plain.engine) with
+  | Some interval, Some e ->
+    check_int (name ^ ": one JTE flush per interval")
+      (plain.stats.instructions / interval) e.context_switch_flushes
+  | _ -> ()
+
+(* Same configs run twice, on the stamped run-length tape and with every
+   run expanded into single cells, across schemes, VMs, multi-table,
+   context-switch and dual-issue configurations. A small prime interval
+   lands boundaries inside run cells; dual issue takes the
+   per-instruction run loop. *)
+let test_runs_match_single_cells () =
+  List.iter
+    (fun (vm, scheme, cs, multi, machine) ->
+      let name =
+        Printf.sprintf "%s/%s%s%s%s" vm (Scheme.name scheme)
+          (if multi then "/multi" else "")
+          (match cs with None -> "" | Some n -> Printf.sprintf "/cs %d" n)
+          (if machine == Scd_uarch.Config.high_end then "/high-end" else "")
+      in
+      check_runs_match_single_cells name
+        { Driver.default_config with frontend = Frontend.get vm; scheme;
+          context_switch_interval = cs; multi_table = multi; machine }
+        ~source:small_script)
+    [ ("lua", Scheme.Baseline, None, false, Scd_uarch.Config.simulator);
+      ("lua", Scheme.Scd, None, false, Scd_uarch.Config.simulator);
+      ("lua", Scheme.Scd, Some 50_000, false, Scd_uarch.Config.simulator);
+      ("lua", Scheme.Scd, Some 97, false, Scd_uarch.Config.simulator);
+      ("js", Scheme.Scd, Some 97, true, Scd_uarch.Config.simulator);
+      ("js", Scheme.Scd, None, true, Scd_uarch.Config.simulator);
+      ("js", Scheme.Jump_threading, None, false, Scd_uarch.Config.simulator);
+      ("lua", Scheme.Vbbi, None, false, Scd_uarch.Config.simulator);
+      ("lua", Scheme.Scd, Some 97, false, Scd_uarch.Config.high_end);
+      ("js", Scheme.Scd, None, false, Scd_uarch.Config.high_end) ]
+
+let prop_runs_match_single_cells =
   QCheck.Test.make
-    ~name:"random programs: flat and boxed event paths bit-identical" ~count:8
-    Gen_program.program (fun source ->
-      List.for_all
+    ~name:"random programs: run cells match single cells bit-identically"
+    ~count:8 Gen_program.program (fun source ->
+      List.iter
         (fun (scheme, context_switch_interval) ->
-          let go event_path =
-            Driver.run ~event_path
-              { Driver.default_config with scheme; context_switch_interval }
-              ~source
-          in
-          Result.equal (go `Flat) (go `Boxed))
+          check_runs_match_single_cells (Scheme.name scheme)
+            { Driver.default_config with scheme; context_switch_interval }
+            ~source)
         (List.map (fun s -> (s, None)) Scheme.all
-         @ [ (Scheme.Scd, Some 97) ]))
+         @ [ (Scheme.Scd, Some 97) ]);
+      true)
 
 (* Tentpole differential: template stamping must reproduce the push-based
    expansion *word for word*, not merely land on the same simulation result.
@@ -416,15 +452,19 @@ let prop_event_paths_agree =
    same tape encoding, so concatenating every batch of both runs must give
    identical int arrays — run-dependent patch words (fetch addresses, data
    addresses, branch outcomes, bop hits) included. *)
-let collect_tape_words event_path config =
+let collect_tape_words ?(source = small_script) event_path config =
   let batches = ref [] in
   let trap tape = batches := Scd_isa.Event.tape_snapshot tape ~from:0 :: !batches in
   let (_ : Driver.result) =
-    Driver.run ~event_path ~tape_trap:trap config ~source:small_script
+    Driver.run ~event_path ~tape_trap:trap config ~source
   in
   Array.concat (List.rev !batches)
 
 let test_stamped_tape_words_identical () =
+  let same_words ?source config =
+    collect_tape_words ?source `Flat config
+    = collect_tape_words ?source `Flat_push config
+  in
   List.iter
     (fun (vm, scheme, multi, cs, seed) ->
       let config =
@@ -437,8 +477,7 @@ let test_stamped_tape_words_identical () =
            vm (Scheme.name scheme)
            (if multi then "/multi" else "")
            (match cs with None -> "" | Some n -> Printf.sprintf "/cs %d" n))
-        true
-        (collect_tape_words `Flat config = collect_tape_words `Flat_push config))
+        true (same_words config))
     [ ("lua", Scheme.Baseline, false, None, 1);
       ("lua", Scheme.Jump_threading, false, None, 2);
       ("lua", Scheme.Vbbi, false, None, 3);
@@ -451,7 +490,16 @@ let test_stamped_tape_words_identical () =
       (* both tapes carry run cells under a context-switch interval, and
          the JTE flushes it triggers steer later bop outcomes *)
       ("lua", Scheme.Scd, false, Some 2_000, 10);
-      ("js", Scheme.Scd, true, Some 2_000, 11) ]
+      ("js", Scheme.Scd, true, Some 2_000, 11) ];
+  (* the cell `scdsim run --workload fibo --scheme scd --scale test`
+     co-simulates: a real workload, at the default seed *)
+  let fibo =
+    match Scd_workloads.Registry.find "fibo" with
+    | Some w -> Scd_workloads.Workload.source w Scd_workloads.Workload.Test
+    | None -> Alcotest.fail "no fibo workload"
+  in
+  check_bool "fibo (test scale) lua/scd stamped tape = pushed tape" true
+    (same_words ~source:fibo { Driver.default_config with scheme = Scheme.Scd })
 
 (* Stamping has no fallback: a template set holds one blob template per
    [spec.blobs] index and one per builtin, indexed as the layout indexes
@@ -770,11 +818,11 @@ let () =
           Alcotest.test_case "instructions per bytecode" `Quick
             test_instruction_count_scales_with_bytecodes;
         ] );
-      ( "event-paths",
+      ( "tape-references",
         [
-          Alcotest.test_case "flat vs boxed bit-identical" `Quick
-            test_event_paths_identical;
-          QCheck_alcotest.to_alcotest prop_event_paths_agree;
+          Alcotest.test_case "run cells match single cells" `Quick
+            test_runs_match_single_cells;
+          QCheck_alcotest.to_alcotest prop_runs_match_single_cells;
           Alcotest.test_case "stamped tape words identical" `Quick
             test_stamped_tape_words_identical;
           QCheck_alcotest.to_alcotest prop_stamped_tape_words_agree;

@@ -486,6 +486,47 @@ let test_exec_scd_fast_path () =
   Alcotest.(check bool) "mostly hits" true (stats.bop_hits >= 47);
   check_int "one JTE installed for opcode 0 + one for halt" 2 stats.jru_inserts
 
+(* The executor's tape sink speaks the co-simulator's encoding: stepping
+   the SCD dispatch loop and draining each retired instruction's cell into
+   a pipeline that shares the engine's BTB accounts every instruction, and
+   the pipeline's bop/jru statistics agree with the engine's. *)
+let test_exec_tape_drives_pipeline () =
+  let program = Asm.assemble_exn scd_dispatch_program in
+  let btb = Scd_uarch.Btb.create ~entries:16 ~ways:2 ~replacement:Scd_uarch.Btb.Lru () in
+  let engine = Scd_core.Engine.create btb in
+  let pipeline = Scd_uarch.Pipeline.create ~btb Scd_uarch.Config.simulator in
+  let tape = Event.tape_create () in
+  let machine =
+    Exec.create ~scd:(Scd_core.Engine.exec_backend engine) ~tape program
+  in
+  setup_dispatch machine program ~bytecodes:(List.init 50 (fun i -> if i < 49 then 0 else 1));
+  let fetch_pc = Option.get (Asm.address_of program "main_loop") in
+  let fetches = ref 0 in
+  let rec go () =
+    let stop = Exec.step machine in
+    check_int "one cell per retired instruction" 1 (Event.tape_cells tape);
+    if Event.tape_cell_pc tape 0 = fetch_pc then begin
+      incr fetches;
+      check_int "the fetch is a load" Event.tag_mem_read
+        (Event.tape_cell_tag tape 0);
+      check_bool "the ldw.op cell sets Rop" true
+        ((Event.tape_words tape).(1) land Event.flag_sets_rop <> 0)
+    end;
+    Scd_uarch.Pipeline.consume_tape pipeline tape;
+    Event.tape_clear tape;
+    match stop with None -> go () | Some reason -> reason
+  in
+  Alcotest.(check bool) "halted" true (go () = Exec.Halted);
+  let s = Scd_uarch.Pipeline.stats pipeline in
+  let e = Scd_core.Engine.stats engine in
+  check_int "every retired instruction accounted"
+    (Exec.instructions_retired machine) s.instructions;
+  check_int "one ldw.op fetch per dispatch" 50 !fetches;
+  check_int "one bop per dispatch" 50 s.bop_count;
+  check_int "bop hits agree with the engine" e.bop_hits s.bop_hits;
+  check_int "jru count agrees with the engine's inserts" e.jru_inserts
+    s.jru_count
+
 let test_exec_scd_matches_unbounded () =
   (* the finite-BTB run must produce the same architectural result as the
      unbounded architectural model *)
@@ -582,6 +623,7 @@ let () =
           Alcotest.test_case "decode fault" `Quick test_exec_decode_fault;
           Alcotest.test_case "signed ops" `Quick test_exec_signed_ops;
           Alcotest.test_case "scd fast path" `Quick test_exec_scd_fast_path;
+          Alcotest.test_case "tape drives pipeline" `Quick test_exec_tape_drives_pipeline;
           Alcotest.test_case "scd matches unbounded" `Quick test_exec_scd_matches_unbounded;
           Alcotest.test_case "jte flush" `Quick test_exec_jte_flush;
           Alcotest.test_case "rop tracking" `Quick test_exec_rop_tracking;

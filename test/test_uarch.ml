@@ -460,11 +460,20 @@ let test_ittage_beats_btb_on_alternation () =
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let plain_events n = List.init n (fun i -> Event.plain (0x1000 + (4 * i)))
+(* Feed one instruction to the pipeline as a one-cell tape batch. *)
+let consume1 p ?(arg1 = 0) ?(arg2 = -1) ~flags pc =
+  let tape = Event.tape_create ~capacity:1 () in
+  Event.tape_push tape ~pc ~flags ~arg1 ~arg2;
+  Pipeline.consume_tape p tape
+
+let consume_plains p n =
+  for i = 0 to n - 1 do
+    consume1 p ~flags:Event.tag_plain (0x1000 + (4 * i))
+  done
 
 let test_pipeline_counts_instructions () =
   let p = Pipeline.create Config.simulator in
-  List.iter (Pipeline.consume p) (plain_events 100);
+  consume_plains p 100;
   check_int "instructions" 100 (Pipeline.stats p).instructions;
   check_bool "cycles >= instructions (single issue)" true
     ((Pipeline.stats p).cycles >= 100)
@@ -472,22 +481,27 @@ let test_pipeline_counts_instructions () =
 let test_pipeline_dual_issue () =
   (* keep every fetch inside one block so cold I-cache misses do not mask
      the issue-width effect *)
-  let same_block n = List.init n (fun _ -> Event.plain 0x1000) in
+  let same_block p =
+    for _ = 1 to 1000 do
+      consume1 p ~flags:Event.tag_plain 0x1000
+    done
+  in
   let p1 = Pipeline.create Config.simulator in
-  List.iter (Pipeline.consume p1) (same_block 1000);
+  same_block p1;
   let p2 = Pipeline.create Config.high_end in
-  List.iter (Pipeline.consume p2) (same_block 1000);
+  same_block p2;
   check_bool "dual issue is faster on plain code" true
     ((Pipeline.stats p2).cycles < (Pipeline.stats p1).cycles);
   check_bool "dual issue near half cycles" true
     ((Pipeline.stats p2).cycles <= 700)
 
+let taken_branch = Event.tag_cond_branch lor Event.flag_taken
+
 let test_pipeline_branch_penalty () =
   let p = Pipeline.create Config.simulator in
   (* an unpredicted taken conditional branch must cost the flush penalty *)
   let before = (Pipeline.stats p).cycles in
-  Pipeline.consume p
-    (Event.make 0x1000 (Cond_branch { taken = true; target = 0x2000 }));
+  consume1 p ~flags:taken_branch ~arg1:0x2000 0x1000;
   let cost = (Pipeline.stats p).cycles - before in
   check_bool "at least issue + penalty" true
     (cost >= 1 + Config.simulator.branch_penalty)
@@ -495,7 +509,7 @@ let test_pipeline_branch_penalty () =
 let test_pipeline_branch_learning () =
   let p = Pipeline.create Config.simulator in
   for _ = 1 to 50 do
-    Pipeline.consume p (Event.make 0x1000 (Cond_branch { taken = true; target = 0x2000 }))
+    consume1 p ~flags:taken_branch ~arg1:0x2000 0x1000
   done;
   let s = Pipeline.stats p in
   check_bool "mispredicts settle" true (s.cond_mispredicts < 10);
@@ -503,19 +517,20 @@ let test_pipeline_branch_learning () =
 
 let test_pipeline_return_address_stack () =
   let p = Pipeline.create Config.simulator in
-  Pipeline.consume p
-    (Event.make 0x1000 (Call { target = 0x5000; indirect = false; link = -1 }));
-  Pipeline.consume p (Event.make 0x5000 (Return { target = 0x1004 }));
+  consume1 p ~flags:Event.tag_call ~arg1:0x5000 0x1000;
+  consume1 p ~flags:Event.tag_return ~arg1:0x1004 0x5000;
   check_int "no return misprediction" 0 (Pipeline.stats p).return_mispredicts;
-  Pipeline.consume p (Event.make 0x5000 (Return { target = 0x9999 }));
+  consume1 p ~flags:Event.tag_return ~arg1:0x9999 0x5000;
   check_int "empty RAS mispredicts" 1 (Pipeline.stats p).return_mispredicts
+
+let rop_producer = Event.tag_plain lor Event.flag_sets_rop
 
 let test_pipeline_bop_accounting () =
   let p = Pipeline.create Config.simulator in
   (* a .op producer directly followed by bop must stall *)
-  Pipeline.consume p (Event.plain ~sets_rop:true 0x1000);
-  Pipeline.consume p
-    (Event.make 0x1004 (Bop { opcode = 3; hit = true; target = 0x2000 }));
+  consume1 p ~flags:rop_producer 0x1000;
+  consume1 p ~flags:(Event.tag_bop lor Event.flag_hit) ~arg1:0x2000 ~arg2:3
+    0x1004;
   let s = Pipeline.stats p in
   check_int "bop counted" 1 s.bop_count;
   check_int "bop hit counted" 1 s.bop_hits;
@@ -523,25 +538,57 @@ let test_pipeline_bop_accounting () =
 
 let test_pipeline_no_stall_with_distance () =
   let p = Pipeline.create Config.simulator in
-  Pipeline.consume p (Event.plain ~sets_rop:true 0x1000);
-  List.iter (Pipeline.consume p) (plain_events 5);
-  Pipeline.consume p
-    (Event.make 0x2004 (Bop { opcode = 3; hit = false; target = 0x2008 }));
+  consume1 p ~flags:rop_producer 0x1000;
+  consume_plains p 5;
+  consume1 p ~flags:Event.tag_bop ~arg1:0x2008 ~arg2:3 0x2004;
   check_int "no stall at distance" 0 (Pipeline.stats p).bop_stall_cycles
 
 let test_pipeline_icache_per_block () =
   let p = Pipeline.create Config.simulator in
-  List.iter (Pipeline.consume p) (plain_events 32); (* 32 instrs = 2 blocks *)
+  consume_plains p 32; (* 32 instrs = 2 blocks *)
   let s = Pipeline.stats p in
   check_int "one access per fetched block" 2 s.icache_accesses
 
 let test_pipeline_dispatch_attribution () =
   let p = Pipeline.create Config.simulator in
-  Pipeline.consume p (Event.plain ~dispatch:true 0x1000);
-  Pipeline.consume p (Event.plain 0x1004);
+  consume1 p ~flags:(Event.tag_plain lor Event.flag_dispatch) 0x1000;
+  consume1 p ~flags:Event.tag_plain 0x1004;
   let s = Pipeline.stats p in
   check_int "dispatch instructions" 1 s.dispatch_instructions;
   check_int "total" 2 s.instructions
+
+(* Drain [batches] of raw [| pc; flags; arg1; arg2 |] cells through a fresh
+   pipeline with a retire boundary every [every] instructions: the
+   instruction counts at which it fired, and the final statistics. *)
+let drain_cells config ~every batches =
+  let p = Pipeline.create config in
+  let fired = ref [] in
+  Pipeline.set_retire_boundary p ~every (fun () ->
+      fired := (Pipeline.stats p).instructions :: !fired);
+  let tape = Event.tape_create () in
+  List.iter
+    (fun batch ->
+      Event.tape_clear tape;
+      List.iter
+        (fun c ->
+          Event.tape_push tape ~pc:c.(0) ~flags:c.(1) ~arg1:c.(2) ~arg2:c.(3))
+        batch;
+      Pipeline.consume_tape p tape)
+    batches;
+  (List.rev !fired, Stats.to_assoc (Pipeline.stats p))
+
+(* The reference: every run expanded into the single plain cells it stands
+   for, each cell drained as a batch of its own. *)
+let single_cells cells =
+  List.concat_map
+    (fun c ->
+      if c.(1) land 0xF <> Event.tag_plain_run then [ [ c ] ]
+      else
+        List.init c.(2) (fun k ->
+            [ [| c.(0) + (k * c.(3));
+                 Event.tag_plain lor (c.(1) land Event.flag_dispatch);
+                 0; -1 |] ]))
+    cells
 
 (* A retire boundary fires right after the instruction that reaches each
    multiple of [every]; a run cell straddling one is consumed in pieces
@@ -550,64 +597,41 @@ let test_pipeline_dispatch_attribution () =
    statistics, on single issue (aggregate run consumption) and dual issue
    (per-instruction run consumption). *)
 let test_pipeline_retire_boundary_splits_runs () =
-  let every = 7 in
-  let mem ~write pc =
-    `Cell (pc, (if write then Event.tag_mem_write else Event.tag_mem_read),
-           0x8000 + (pc land 0xFF))
+  let cell ?(arg1 = 0) flags pc = [| pc; flags; arg1; -1 |] in
+  let mem flags pc = cell flags pc ~arg1:(0x8000 + (pc land 0xFF)) in
+  let run ~dispatch pc count stride =
+    [| pc;
+       Event.tag_plain_run lor (if dispatch then Event.flag_dispatch else 0);
+       count; stride |]
   in
   (* instruction counts: 1, +5 = 6, +1 = 7 (boundary on a single cell),
      +9 = 16 (14 inside), +1, +16 = 33 (21 and 28 inside), +1, +1 = 35
      (a one-instruction run ending on a boundary), +14 = 49 (42 inside, 49
      at its end), +2 = 51 *)
   let cells =
-    [ mem ~write:false 0x1000;
-      `Run (0x1004, false, 5, 4);
-      `Cell (0x1018, Event.tag_plain, 0);
-      `Run (0x101c, false, 9, 12);
-      mem ~write:true 0x1090;
-      `Run (0x2000, true, 16, 4);
-      `Cell (0x2040, Event.tag_cond_branch lor Event.flag_taken, 0x3000);
-      `Run (0x3000, true, 1, 4);
-      `Run (0x3004, false, 14, 4);
-      `Cell (0x303c, Event.tag_plain, 0);
-      `Cell (0x3040, Event.tag_plain, 0) ]
+    [ mem Event.tag_mem_read 0x1000;
+      run ~dispatch:false 0x1004 5 4;
+      cell Event.tag_plain 0x1018;
+      run ~dispatch:false 0x101c 9 12;
+      mem Event.tag_mem_write 0x1090;
+      run ~dispatch:true 0x2000 16 4;
+      cell (Event.tag_cond_branch lor Event.flag_taken) ~arg1:0x3000 0x2040;
+      run ~dispatch:true 0x3000 1 4;
+      run ~dispatch:false 0x3004 14 4;
+      cell Event.tag_plain 0x303c;
+      cell Event.tag_plain 0x3040 ]
   in
-  let push_cell tape (pc, flags, arg1) =
-    Event.tape_push tape ~pc ~flags ~arg1 ~arg2:(-1)
-  in
-  let run_in config ~expand_runs =
-    let p = Pipeline.create config in
-    let fired = ref [] in
-    Pipeline.set_retire_boundary p ~every (fun () ->
-        fired := (Pipeline.stats p).instructions :: !fired);
-    let tape = Event.tape_create () in
-    let feed batch =
-      Event.tape_clear tape;
-      List.iter
-        (function
-          | `Cell c -> push_cell tape c
-          | `Run (pc, dispatch, count, stride) ->
-            if expand_runs then
-              for k = 0 to count - 1 do
-                push_cell tape
-                  ( pc + (k * stride),
-                    Event.tag_plain
-                    lor (if dispatch then Event.flag_dispatch else 0),
-                    0 )
-              done
-            else Event.tape_push_run tape ~pc ~dispatch ~count ~stride)
-        batch;
-      Pipeline.consume_tape p tape
-    in
-    (* two batches, the second opening mid-interval *)
-    feed (List.filteri (fun i _ -> i < 4) cells);
-    feed (List.filteri (fun i _ -> i >= 4) cells);
-    (List.rev !fired, Stats.to_assoc (Pipeline.stats p))
+  (* two batches, the second opening mid-interval *)
+  let batches =
+    [ List.filteri (fun i _ -> i < 4) cells;
+      List.filteri (fun i _ -> i >= 4) cells ]
   in
   List.iter
     (fun (name, config) ->
-      let fired, stats = run_in config ~expand_runs:false in
-      let ref_fired, ref_stats = run_in config ~expand_runs:true in
+      let fired, stats = drain_cells config ~every:7 batches in
+      let ref_fired, ref_stats =
+        drain_cells config ~every:7 (single_cells cells)
+      in
       Alcotest.(check (list int))
         (name ^ ": fires at each multiple of 7")
         [ 7; 14; 21; 28; 35; 42; 49 ] fired;
@@ -617,61 +641,72 @@ let test_pipeline_retire_boundary_splits_runs () =
         (stats = ref_stats))
     [ ("single issue", Config.simulator); ("dual issue", Config.high_end) ]
 
-(* The allocation-free hot path reuses one scratch record for every
-   instruction, so a payload field written by an earlier event could leak
-   into a later one whose tag does not overwrite it. Differential check:
-   the same random event stream driven (a) through a single reused scratch
-   and (b) through a freshly allocated scratch per event must produce
-   identical statistics. *)
-let gen_event =
+(* The same property over random cell streams: every tag, run cells
+   included, cut into random batches under a random retire-boundary period,
+   must fire at the same points and leave the same statistics as the
+   stream with every run expanded into single plain cells and drained one
+   cell per batch — where the boundary check after every cell is a plain
+   per-instruction counter. *)
+let gen_cell =
   let open QCheck.Gen in
   let pc = map (fun i -> 0x1000 + (4 * i)) (int_bound 511) in
   let target = map (fun i -> 0x2000 + (4 * i)) (int_bound 511) in
   let addr = map (fun i -> 0x8000 + (4 * i)) (int_bound 1023) in
-  let opcode = int_bound 63 in
-  let kind =
-    frequency
-      [ (6, return Event.Plain);
-        (2, map (fun addr -> Event.Mem_read { addr }) addr);
-        (2, map (fun addr -> Event.Mem_write { addr }) addr);
-        (2, map2 (fun taken target -> Event.Cond_branch { taken; target }) bool target);
-        (1, map (fun target -> Event.Jump { target }) target);
-        (1,
-         map2 (fun target hint -> Event.Ind_jump { target; hint }) target
-           (opt opcode));
-        (1,
-         map2
-           (fun target indirect -> Event.Call { target; indirect; link = -1 })
-           target bool);
-        (1, map (fun target -> Event.Return { target }) target);
-        (1,
-         map3 (fun opcode hit target -> Event.Bop { opcode; hit; target }) opcode
-           bool target);
-        (1, map2 (fun opcode target -> Event.Jru { opcode; target }) (opt opcode) target);
-        (1, return Event.Jte_flush) ]
+  let bits = map (fun b -> b lsl 4) (int_bound 0x1F) in
+  let cell tag arg1 arg2 =
+    map3 (fun pc bits (arg1, arg2) -> [| pc; tag lor bits; arg1; arg2 |])
+      pc bits (pair arg1 arg2)
   in
-  map3
-    (fun pc kind (dispatch, sets_rop) -> Event.make ~dispatch ~sets_rop pc kind)
-    pc kind (pair bool bool)
+  let none = return (-1) in
+  let opcode = int_bound 63 in
+  frequency
+    [ (4, cell Event.tag_plain (return 0) none);
+      (6, cell Event.tag_plain_run (int_range 1 40) (oneofl [ 4; 12 ]));
+      (2, cell Event.tag_mem_read addr none);
+      (2, cell Event.tag_mem_write addr none);
+      (2, cell Event.tag_cond_branch target none);
+      (1, cell Event.tag_jump target none);
+      (1, cell Event.tag_ind_jump target (oneof [ none; opcode ]));
+      (1, cell Event.tag_call target (oneof [ none; target ]));
+      (1, cell Event.tag_return target none);
+      (1, cell Event.tag_bop target opcode);
+      (1, cell Event.tag_jru target (oneof [ none; opcode ]));
+      (1, cell Event.tag_jte_flush (return 0) none) ]
 
-let prop_scratch_reuse_leaks_nothing =
-  QCheck.Test.make ~name:"reused scratch matches per-event fresh scratch"
-    ~count:100
-    (QCheck.make QCheck.Gen.(list_size (int_bound 300) gen_event))
-    (fun events ->
-      let reused_pipe = Pipeline.create Config.simulator in
-      let fresh_pipe = Pipeline.create Config.simulator in
-      let reused = Event.scratch_create () in
-      List.iter
-        (fun e ->
-          Event.load_scratch reused e;
-          Pipeline.consume_scratch reused_pipe reused;
-          let fresh = Event.scratch_create () in
-          Event.load_scratch fresh e;
-          Pipeline.consume_scratch fresh_pipe fresh)
-        events;
-      Stats.to_assoc (Pipeline.stats reused_pipe)
-      = Stats.to_assoc (Pipeline.stats fresh_pipe))
+(* A cell and whether its batch ends after it. *)
+let gen_cell_stream =
+  QCheck.Gen.(
+    pair (int_range 1 50) (list_size (int_bound 200) (pair gen_cell bool)))
+
+let print_cell_stream (every, cells) =
+  Printf.sprintf "every %d: %s" every
+    (String.concat "; "
+       (List.map
+          (fun (c, cut) ->
+            Printf.sprintf "[%#x %#x %d %d]%s" c.(0) c.(1) c.(2) c.(3)
+              (if cut then " |" else ""))
+          cells))
+
+let prop_tape_runs_match_single_cells =
+  QCheck.Test.make
+    ~name:"random cell streams: batched run cells match single plain cells"
+    ~count:200
+    (QCheck.make ~print:print_cell_stream gen_cell_stream)
+    (fun (every, cells) ->
+      let batches =
+        let rec split cur acc = function
+          | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+          | (c, cut) :: rest ->
+            if cut then split [] (List.rev (c :: cur) :: acc) rest
+            else split (c :: cur) acc rest
+        in
+        split [] [] cells
+      in
+      let singles = single_cells (List.map fst cells) in
+      List.for_all
+        (fun config ->
+          drain_cells config ~every batches = drain_cells config ~every singles)
+        [ Config.simulator; Config.high_end ])
 
 (* ------------------------------------------------------------------ *)
 (* Config                                                               *)
@@ -759,7 +794,7 @@ let () =
           Alcotest.test_case "dispatch attribution" `Quick test_pipeline_dispatch_attribution;
           Alcotest.test_case "retire boundary splits runs" `Quick
             test_pipeline_retire_boundary_splits_runs;
-          QCheck_alcotest.to_alcotest prop_scratch_reuse_leaks_nothing;
+          QCheck_alcotest.to_alcotest prop_tape_runs_match_single_cells;
         ] );
       ( "config",
         [
