@@ -161,6 +161,30 @@ let micro_tests () =
     tape_micro "pipeline-tape-probe-on-1k"
       (Scd_obs.Probe.create ~on_retire:(fun () -> incr retired) ())
   in
+  let fib10 =
+    "function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end print(fib(10))"
+  in
+  (* the same drain over every cell kind the driver emits: the first
+     batches of a fib10 co-simulation, ~1000 cells (mem, cond, jump,
+     ind_jump, call/return and run cells), captured once through the tape
+     trap. Plain cells reach neither the memory arm nor the D-TLB and
+     D-cache, nor any branch arm; these do, and must not allocate
+     either *)
+  let mixed_tape = Scd_isa.Event.tape_create ~capacity:1024 () in
+  ignore
+    (Scd_cosim.Driver.run
+       ~tape_trap:(fun tape ->
+         if Scd_isa.Event.tape_cells mixed_tape < 1000 then
+           ignore
+             (Scd_isa.Event.tape_blit mixed_tape
+                (Scd_isa.Event.tape_snapshot tape ~from:0)
+               : int))
+       Scd_cosim.Driver.default_config ~source:fib10);
+  let pipeline_consume_mixed =
+    let p = Scd_uarch.Pipeline.create Scd_uarch.Config.simulator in
+    Test.make ~name:"pipeline-consume-mixed-1k"
+      (Staged.stage (fun () -> Scd_uarch.Pipeline.consume_tape p mixed_tape))
+  in
   let btb_ops =
     Test.make ~name:"btb-lookup-insert-1k"
       (Staged.stage (fun () ->
@@ -276,9 +300,6 @@ let micro_tests () =
   (* one full co-simulation per dispatch scheme, so the perf trajectory
      (and the allocation budgets) track each scheme's end-to-end cost —
      the ROADMAP's allocation-free-cosim work lands scheme by scheme *)
-  let fib10 =
-    "function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end print(fib(10))"
-  in
   let cosim_micro scheme suffix =
     Test.make ~name:("cosim-fib10-" ^ suffix)
       (Staged.stage (fun () ->
@@ -287,7 +308,8 @@ let micro_tests () =
                 { Scd_cosim.Driver.default_config with scheme }
                 ~source:fib10)))
   in
-  [ pipeline_consume_tape; pipeline_tape_probe_on; prof_span_off;
+  [ pipeline_consume_tape; pipeline_tape_probe_on; pipeline_consume_mixed;
+    prof_span_off;
     prof_span_on; btb_ops;
     engine_bop; rvm_interp; svm_interp; direction; asm_exec;
     cosim_micro Scd_core.Scheme.Baseline "baseline";

@@ -67,17 +67,29 @@ let tape_push tape ~pc ~flags ~arg1 ~arg2 =
   buf.(i + 3) <- arg2;
   tape.len <- i + cell_words
 
+(* A run that continues the tape's last cell — a run with the same flags
+   and stride whose next instruction would sit at [pc] — extends that cell
+   instead of appending one: by the definition of a run cell the two
+   stand for exactly the same instructions, and the consumer already
+   splits runs wherever it must (at retire boundaries). *)
 let tape_push_run tape ~pc ~dispatch ~count ~stride =
-  tape_push tape ~pc
-    ~flags:(tag_plain_run lor if dispatch then flag_dispatch else 0)
-    ~arg1:count ~arg2:stride
+  let flags = tag_plain_run lor if dispatch then flag_dispatch else 0 in
+  let last = tape.len - cell_words in
+  let buf = tape.buf in
+  if
+    last >= 0
+    && buf.(last + 1) = flags
+    && buf.(last + 3) = stride
+    && buf.(last) + (buf.(last + 2) * stride) = pc
+  then buf.(last + 2) <- buf.(last + 2) + count
+  else tape_push tape ~pc ~flags ~arg1:count ~arg2:stride
 
 (* ------------------------------------------------------------------ *)
 (* Template stamping                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* A template is an immutable [int array] of whole cells in the tape
-   encoding above. Stamping appends it with one [Array.blit]; the returned
+   encoding above. Stamping appends it with one copy loop; the returned
    word base lets the producer patch the few run-dependent words in place
    ([tape_set_word]) instead of re-computing every cell. *)
 
@@ -88,14 +100,19 @@ let tape_words tape = tape.buf
    lives in the major heap, the generic blit calls the write barrier
    ([caml_modify]) once per word, while a typed int store compiles to a
    plain move — stamping is one of the hottest paths in a co-simulated
-   run. *)
+   run. Both loops copy a whole cell per iteration. *)
 let tape_blit tape (src : int array) =
   let words = Array.length src in
   let base = tape.len in
   if base + words > Array.length tape.buf then tape_grow tape (base + words);
   let buf = tape.buf in
-  for k = 0 to words - 1 do
-    buf.(base + k) <- src.(k)
+  let k = ref 0 in
+  while !k < words do
+    buf.(base + !k) <- src.(!k);
+    buf.(base + !k + 1) <- src.(!k + 1);
+    buf.(base + !k + 2) <- src.(!k + 2);
+    buf.(base + !k + 3) <- src.(!k + 3);
+    k := !k + cell_words
   done;
   tape.len <- base + words;
   base

@@ -118,13 +118,17 @@ val tape_push : tape -> pc:int -> flags:int -> arg1:int -> arg2:int -> unit
 (** Append one cell; allocation-free unless the buffer must grow. *)
 
 val tape_push_run : tape -> pc:int -> dispatch:bool -> count:int -> stride:int -> unit
-(** Append one {!tag_plain_run} cell covering [count] plain instructions
-    spaced [stride] bytes apart. *)
+(** Account [count] plain instructions from [pc], spaced [stride] bytes
+    apart, as a {!tag_plain_run} cell. When the tape's last cell is a run
+    with the same dispatch flag and stride whose next instruction would
+    sit at [pc], that cell's count grows by [count] instead (the merged
+    cell stands for exactly the same instructions); otherwise one cell is
+    appended. Cells written by {!tape_blit} merge like pushed ones. *)
 
 (** {3 Template stamping}
 
     A precompiled template is an immutable [int array] of whole cells in
-    the tape encoding. Stamping appends it in one [Array.blit]; the
+    the tape encoding. Stamping appends it in one copy loop; the
     returned word base lets the producer patch the few run-dependent words
     in place instead of re-computing every cell (see
     {!Scd_codegen.Template}). *)
@@ -140,8 +144,9 @@ val tape_words : tape -> int array
     cells with direct loads instead of a per-field accessor call. *)
 
 val tape_blit : tape -> int array -> int
-(** Append a whole-cell template verbatim; returns the word base it landed
-    at. Grows the buffer (to at least the needed size) if required. *)
+(** Append a whole-cell template verbatim (its length must be a multiple
+    of {!cell_words}); returns the word base it landed at. Grows the
+    buffer (to at least the needed size) if required. *)
 
 val tape_blit_reloc : tape -> int array -> pc_delta:int -> int
 (** Like {!tape_blit}, but the template is base-relative: word 0 of every

@@ -24,9 +24,11 @@ type entry = { name : string; minor_words_per_run : float }
    drift if someone runs --check-budgets at a longer quota by hand. *)
 let table =
   [
-    (* the allocation-free tape hot path, probe off and on: keep at zero *)
+    (* the allocation-free tape hot path, probe off and on, and over
+       every cell kind the driver emits: keep at zero *)
     { name = "pipeline-consume-tape-1k"; minor_words_per_run = 0.0 };
     { name = "pipeline-tape-probe-on-1k"; minor_words_per_run = 0.0 };
+    { name = "pipeline-consume-mixed-1k"; minor_words_per_run = 0.0 };
     (* disabled host-profiler spans must also stay allocation-free; the
        enabled path pays ~99 words/span (frames, stat records, the event
        log) and is pinned so probe cost cannot creep *)

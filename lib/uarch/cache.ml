@@ -7,29 +7,25 @@ type geometry = {
   hit_latency : int;
 }
 
-type stats = { mutable accesses : int; mutable misses : int }
-
 (* Struct-of-arrays storage: way [w] of set [s] lives at slot [s * ways + w]
    in three parallel int arrays. An invalid line is encoded as [tags.(slot)
    = invalid_tag] (no real tag is negative), so the hit scan is a single
    int-compare loop with no per-line record, option or closure. *)
 type t = {
-  geometry : geometry;
-  sets : int;
+  ways : int;
+  set_mask : int;  (* sets - 1 *)
   block_shift : int;  (* log2 block_bytes, precomputed: used on every access *)
   set_shift : int;  (* log2 sets *)
   tags : int array;
   stamps : int array;
   mru : int array;
       (* Per set: the slot of the set's last hit or fill, checked before
-         the way scan (the TLB uses the same trick with a single slot).
-         Straight-line fetch walks one block for many consecutive
-         instructions, so the first compare almost always hits; a tag
-         lives in at most one way of its set, so the short-circuit's
-         answer — and every stat, tick and stamp update — is identical to
-         the full scan's. *)
+         the way scan. Straight-line fetch walks one block for many
+         consecutive instructions, so the first compare almost always
+         hits; a tag lives in at most one way of its set, so the
+         short-circuit's answer — and every tick and stamp update — is
+         identical to the full scan's. *)
   mutable tick : int;
-  stats : stats;
 }
 
 let invalid_tag = -1
@@ -47,15 +43,14 @@ let create geometry =
   if not (Bits.is_power_of_two block_bytes) then
     invalid_arg "Cache.create: block size must be a power of two";
   {
-    geometry;
-    sets;
+    ways;
+    set_mask = sets - 1;
     block_shift = Bits.log2 block_bytes;
     set_shift = Bits.log2 sets;
     tags = Array.make blocks invalid_tag;
     stamps = Array.make blocks 0;
     mru = Array.init sets (fun s -> s * ways);
     tick = 0;
-    stats = { accesses = 0; misses = 0 };
   }
 
 (* Top-level tail recursion: a local [let rec] closure would capture its
@@ -65,14 +60,10 @@ let rec find_line tags tag stop s =
   else if tags.(s) = tag then s
   else find_line tags tag stop (s + 1)
 
-(* Slot of the line holding [addr], or -1 on a miss. *)
-let find_slot t addr =
+let contains t ~addr =
   let block = addr lsr t.block_shift in
-  let base = (block land (t.sets - 1)) * t.geometry.ways in
-  let tag = block lsr t.set_shift in
-  find_line t.tags tag (base + t.geometry.ways - 1) base
-
-let contains t ~addr = find_slot t addr >= 0
+  let base = (block land t.set_mask) * t.ways in
+  find_line t.tags (block lsr t.set_shift) (base + t.ways - 1) base >= 0
 
 (* LRU victim scan from [s]: the first invalid line wins outright (stopping
    the scan, as in the original implementation); otherwise the strictly
@@ -85,12 +76,33 @@ let rec pick_lru_line t stop victim s =
       (if t.stamps.(s) < t.stamps.(victim) then s else victim)
       (s + 1)
 
-let access t ~addr =
-  t.stats.accesses <- t.stats.accesses + 1;
+(* Everything but an MRU hit: the way scan and the LRU fill. Kept out of
+   line so {!access}'s hit path inlines into its callers. *)
+let[@inline never] access_slow t set tag =
+  let base = set * t.ways in
+  let stop = base + t.ways - 1 in
+  let slot = find_line t.tags tag stop base in
+  if slot >= 0 then begin
+    t.stamps.(slot) <- t.tick;
+    t.mru.(set) <- slot;
+    `Hit
+  end
+  else begin
+    (* LRU victim (invalid lines first). *)
+    let victim =
+      if t.tags.(base) = invalid_tag then base
+      else pick_lru_line t stop base (base + 1)
+    in
+    t.tags.(victim) <- tag;
+    t.stamps.(victim) <- t.tick;
+    t.mru.(set) <- victim;
+    `Miss
+  end
+
+let[@inline] access t ~addr =
   t.tick <- t.tick + 1;
   let block = addr lsr t.block_shift in
-  let set = block land (t.sets - 1) in
-  let base = set * t.geometry.ways in
+  let set = block land t.set_mask in
   let tag = block lsr t.set_shift in
   let m = t.mru.(set) in
   if t.tags.(m) = tag then begin
@@ -100,30 +112,4 @@ let access t ~addr =
     t.stamps.(m) <- t.tick;
     `Hit
   end
-  else begin
-    let slot = find_line t.tags tag (base + t.geometry.ways - 1) base in
-    if slot >= 0 then begin
-      t.stamps.(slot) <- t.tick;
-      t.mru.(set) <- slot;
-      `Hit
-    end
-    else begin
-      t.stats.misses <- t.stats.misses + 1;
-      (* LRU victim (invalid lines first). *)
-      let victim =
-        if t.tags.(base) = invalid_tag then base
-        else pick_lru_line t (base + t.geometry.ways - 1) base (base + 1)
-      in
-      t.tags.(victim) <- tag;
-      t.stamps.(victim) <- t.tick;
-      t.mru.(set) <- victim;
-      `Miss
-    end
-  end
-
-let stats t = t.stats
-let geometry t = t.geometry
-
-let reset_stats t =
-  t.stats.accesses <- 0;
-  t.stats.misses <- 0
+  else access_slow t set tag

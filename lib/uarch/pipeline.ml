@@ -21,6 +21,9 @@ type t = {
       (* log2 of the I-cache block size, precomputed: {!fetch} runs once per
          retired instruction and a division there is measurable. *)
   mutable last_fetch_block : int;
+  mutable last_fetch_page : int;
+      (* Page of the last I-TLB lookup, which {!fetch_block} repeats only
+         on a page change: [fetch] is the I-TLB's only client. *)
   mutable pair_open : bool; (* a second issue slot remains this cycle *)
   mutable group_has_mem : bool;
   mutable last_rop_index : int; (* instruction index of last .op producer *)
@@ -53,6 +56,7 @@ let create ?btb ?(indirect = Indirect.Pc_btb) (config : Config.t) =
     probe = Scd_obs.Probe.null;
     fetch_shift = Scd_util.Bits.log2 config.icache.block_bytes;
     last_fetch_block = -1;
+    last_fetch_page = -1;
     pair_open = false;
     group_has_mem = false;
     last_rop_index = min_int;
@@ -88,22 +92,34 @@ let miss_below t ~addr =
       t.stats.cycles <-
         t.stats.cycles + t.config.l2_latency + t.config.mem_latency)
 
-let fetch t pc =
-  let block = pc lsr t.fetch_shift in
-  if block <> t.last_fetch_block then begin
-    t.last_fetch_block <- block;
-    (match Tlb.access t.itlb ~addr:pc with
-     | `Hit -> ()
-     | `Miss ->
-       t.stats.itlb_misses <- t.stats.itlb_misses + 1;
-       stall t t.config.tlb_penalty);
-    t.stats.icache_accesses <- t.stats.icache_accesses + 1;
-    match Cache.access t.icache ~addr:pc with
+(* A fetch that leaves the last fetched block: the I-cache access, and the
+   I-TLB lookup when the page changed too. A same-page lookup would hit the
+   slot the previous lookup stamped, and that slot already holds the TLB's
+   largest stamp, so skipping the re-stamp changes no later LRU victim and
+   no count. *)
+let[@inline never] fetch_block t pc block =
+  t.last_fetch_block <- block;
+  let page = pc lsr Tlb.page_shift in
+  if page <> t.last_fetch_page then begin
+    t.last_fetch_page <- page;
+    match Tlb.access t.itlb ~addr:pc with
     | `Hit -> ()
     | `Miss ->
-      t.stats.icache_misses <- t.stats.icache_misses + 1;
-      miss_below t ~addr:pc
-  end
+      t.stats.itlb_misses <- t.stats.itlb_misses + 1;
+      stall t t.config.tlb_penalty
+  end;
+  t.stats.icache_accesses <- t.stats.icache_accesses + 1;
+  match Cache.access t.icache ~addr:pc with
+  | `Hit -> ()
+  | `Miss ->
+    t.stats.icache_misses <- t.stats.icache_misses + 1;
+    miss_below t ~addr:pc
+
+(* Sequential fetches within one block are free: only the block compare
+   inlines into the caller. *)
+let[@inline] fetch t pc =
+  let block = pc lsr t.fetch_shift in
+  if block <> t.last_fetch_block then fetch_block t pc block
 
 let data_access t addr =
   (match Tlb.access t.dtlb ~addr with
@@ -119,20 +135,28 @@ let data_access t addr =
     miss_below t ~addr
 
 (* Issue-slot accounting: single issue charges a cycle per instruction;
-   dual issue pairs the current instruction into the open slot when legal. *)
-let issue t ~mem ~control =
-  let pairable = t.pair_open && not (mem && t.group_has_mem) in
-  if pairable then begin
-    t.pair_open <- false;
-    if mem then t.group_has_mem <- true
+   dual issue pairs the current instruction into the open slot when legal.
+   At width 1 [pair_open] is invariantly false (only the wider arm below
+   ever sets it), so the general code reduces to its first two updates. *)
+let[@inline] issue t ~mem ~control =
+  if t.config.issue_width = 1 then begin
+    t.stats.cycles <- t.stats.cycles + 1;
+    t.group_has_mem <- mem
   end
   else begin
-    t.stats.cycles <- t.stats.cycles + 1;
-    t.pair_open <- t.config.issue_width > 1;
-    t.group_has_mem <- mem
-  end;
-  (* A control instruction always closes its issue group. *)
-  if control then t.pair_open <- false
+    let pairable = t.pair_open && not (mem && t.group_has_mem) in
+    if pairable then begin
+      t.pair_open <- false;
+      if mem then t.group_has_mem <- true
+    end
+    else begin
+      t.stats.cycles <- t.stats.cycles + 1;
+      t.pair_open <- t.config.issue_width > 1;
+      t.group_has_mem <- mem
+    end;
+    (* A control instruction always closes its issue group. *)
+    if control then t.pair_open <- false
+  end
 
 let mispredict t ~dispatch =
   stall t t.config.branch_penalty;
@@ -142,13 +166,14 @@ let mispredict t ~dispatch =
   if t.probe != Scd_obs.Probe.null then
     t.probe.Scd_obs.Probe.on_mispredict ~dispatch
 
-(* One non-run tape cell's worth of locals — [flags] is the cell's packed
-   flags word, [arg1] the memory address or branch target, [arg2] the
+(* One tape cell that is neither a run nor a memory access (those two are
+   handled in {!consume_tape} itself) — [tag] is decoded from [flags], the
+   cell's packed flags word, [arg1] is the branch target, [arg2] the
    hint / opcode / call link. Payload booleans are decoded from [flags]
    only in the branch that reads them, and nothing is written back to a
    record, so consuming a cell touches no memory beyond the model's own
    state. *)
-let consume_cell t ~pc ~flags ~arg1 ~arg2 =
+let consume_cell t ~pc ~flags ~tag ~arg1 ~arg2 =
   let s = t.stats in
   s.instructions <- s.instructions + 1;
   let dispatch = flags land Event.flag_dispatch <> 0 in
@@ -156,13 +181,9 @@ let consume_cell t ~pc ~flags ~arg1 ~arg2 =
   if flags land Event.flag_sets_rop <> 0 then
     t.last_rop_index <- s.instructions;
   fetch t pc;
-  let tag = flags land 0xF in
-  issue t
-    ~mem:(tag = Event.tag_mem_read || tag = Event.tag_mem_write)
+  issue t ~mem:false
     ~control:(tag >= Event.tag_cond_branch && tag <= Event.tag_jru);
   if tag = Event.tag_plain || tag = Event.tag_jte_flush then ()
-  else if tag = Event.tag_mem_read || tag = Event.tag_mem_write then
-    data_access t arg1
   else if tag = Event.tag_cond_branch then begin
     let taken = flags land Event.flag_taken <> 0 in
     s.cond_branches <- s.cond_branches + 1;
@@ -277,15 +298,6 @@ let consume_cell t ~pc ~flags ~arg1 ~arg2 =
      cycle and miss accounting in full. *)
   if t.probe != Scd_obs.Probe.null then t.probe.Scd_obs.Probe.on_retire ()
 
-(* [issue] specialised to a plain (non-mem, non-control) instruction. *)
-let issue_plain t =
-  if t.pair_open then t.pair_open <- false
-  else begin
-    t.stats.cycles <- t.stats.cycles + 1;
-    t.pair_open <- t.config.issue_width > 1;
-    t.group_has_mem <- false
-  end
-
 (* Consume a run of [count] plain instructions starting at [pc], spaced
    [stride] bytes apart, in aggregate. Bit-identical to consuming them one
    by one: instruction/dispatch counts add up, the I-side is touched once
@@ -321,7 +333,7 @@ let consume_plain_run t ~pc ~dispatch ~count ~stride =
       if dispatch then
         s.dispatch_instructions <- s.dispatch_instructions + 1;
       fetch t (pc + (k * stride));
-      issue_plain t;
+      issue t ~mem:false ~control:false;
       if t.probe != Scd_obs.Probe.null then t.probe.Scd_obs.Probe.on_retire ()
     done
 
@@ -351,27 +363,44 @@ let rec consume_plain_run_bounded t ~pc ~dispatch ~count ~stride =
   end
 
 (* Walk the backing buffer directly: the tape only grows on the producer
-   side, so the reference stays valid for the whole drain, and each cell
-   costs four loads feeding {!consume_cell}. A boundary is crossed right
-   after the cell that reaches it, and [set_retire_boundary] arms it
-   strictly ahead of the count, so between cells the count is always below
-   [boundary_at]. With no boundary armed [boundary_at] is [max_int], so
-   the boundary checks never fire. *)
+   side, so the reference stays valid for the whole drain. The tag is
+   decoded once per cell. Runs and memory cells, the two commonest kinds,
+   are handled here, so a memory cell skips {!consume_cell}'s chain of
+   tag tests; every other tag goes through {!consume_cell}. A boundary is crossed right after the cell
+   that reaches it, and [set_retire_boundary] arms it strictly ahead of
+   the count, so between cells the count is always below [boundary_at].
+   With no boundary armed [boundary_at] is [max_int], so the boundary
+   checks never fire. *)
 let consume_tape t tape =
   let words = Event.tape_extent tape in
   let buf = Event.tape_words tape in
+  let s = t.stats in
   let i = ref 0 in
   while !i < words do
     let base = !i in
-    let flags = buf.(base + 1) in
-    if flags land 0xF = Event.tag_plain_run then
-      consume_plain_run_bounded t ~pc:buf.(base)
+    let pc = buf.(base) and flags = buf.(base + 1) in
+    let tag = flags land 0xF in
+    if tag = Event.tag_plain_run then
+      consume_plain_run_bounded t ~pc
         ~dispatch:(flags land Event.flag_dispatch <> 0)
         ~count:buf.(base + 2) ~stride:buf.(base + 3)
     else begin
-      consume_cell t ~pc:buf.(base) ~flags ~arg1:buf.(base + 2)
-        ~arg2:buf.(base + 3);
-      if t.stats.instructions >= t.boundary_at then cross_boundaries t
+      if tag = Event.tag_mem_read || tag = Event.tag_mem_write then begin
+        s.instructions <- s.instructions + 1;
+        if flags land Event.flag_dispatch <> 0 then
+          s.dispatch_instructions <- s.dispatch_instructions + 1;
+        if flags land Event.flag_sets_rop <> 0 then
+          t.last_rop_index <- s.instructions;
+        fetch t pc;
+        issue t ~mem:true ~control:false;
+        data_access t buf.(base + 2);
+        if t.probe != Scd_obs.Probe.null then
+          t.probe.Scd_obs.Probe.on_retire ()
+      end
+      else
+        consume_cell t ~pc ~flags ~tag ~arg1:buf.(base + 2)
+          ~arg2:buf.(base + 3);
+      if s.instructions >= t.boundary_at then cross_boundaries t
     end;
     i := base + Event.cell_words
   done

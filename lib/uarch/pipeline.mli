@@ -11,8 +11,10 @@
     - one issue slot (dual-issue pairs two consecutive instructions unless
       either is a memory operation following another memory operation in the
       same cycle, or the first is a control instruction);
-    - an I-cache + I-TLB access per fetched block (sequential fetches within
-      one block are free);
+    - an I-cache access per fetched block (sequential fetches within one
+      block are free) and an I-TLB lookup whenever the fetched page
+      changes (a same-page lookup would only re-stamp the TLB's newest
+      slot, which changes nothing);
     - D-cache + D-TLB access for loads/stores; misses charge L2/DRAM latency;
     - conditional branches consult the direction predictor; mispredictions
       flush; taken branches with a BTB target miss redirect at decode
@@ -55,7 +57,9 @@ val consume_tape : t -> Scd_isa.Event.tape -> unit
     four words straight from the tape buffer (no intermediate record); a
     {!Scd_isa.Event.tag_plain_run} cell is accounted in aggregate, exactly
     as its instructions would be one cell each. The only way to account
-    an instruction. Allocation-free; the caller clears and refills the
+    an instruction. The cache and TLB hit checks and the fetch block
+    compare are inlined into this loop; scans, fills and block changes
+    run out of line. Allocation-free; the caller clears and refills the
     tape between batches. Honours the retire boundary, if one is armed. *)
 
 val set_retire_boundary : t -> every:int -> (unit -> unit) -> unit

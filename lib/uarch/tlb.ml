@@ -1,5 +1,3 @@
-type stats = { mutable accesses : int; mutable misses : int }
-
 (* Struct-of-arrays storage: slot [i] lives at index [i] of two parallel int
    arrays. An invalid slot holds [invalid_vpn] (no real VPN is negative), so
    both the hit scan and the victim scan are plain int loops that allocate
@@ -7,26 +5,29 @@ type stats = { mutable accesses : int; mutable misses : int }
 type t = {
   vpns : int array;
   stamps : int array;
+  hint : int array;
+      (* Slot-hint table, indexed by [vpn land hint_mask]: the slot of that
+         entry's last hit or fill (0 before any), so always a valid slot
+         index. The hit path checks the hinted slot before any scan. A VPN
+         lives in at most one slot, so a hint that passes the check names
+         the slot the scan would find, and a stale one (its slot since
+         refilled by another VPN) fails the check and falls back to the
+         scan: every answer, tick and stamp update is identical to the
+         scan's. *)
   mutable tick : int;
-  mutable mru : int;
-      (* Slot of the last hit or fill. Consecutive accesses usually touch
-         the same page, so checking it first skips the linear scan; a VPN
-         lives in at most one slot, so the answer — and every stat, tick
-         and stamp update — is identical to the full scan's. *)
-  stats : stats;
 }
 
 let page_shift = 12
 let invalid_vpn = -1
+let hint_mask = 63 (* 64 hint entries *)
 
 let create ~entries =
   if entries <= 0 then invalid_arg "Tlb.create: entries must be positive";
   {
     vpns = Array.make entries invalid_vpn;
     stamps = Array.make entries 0;
+    hint = Array.make (hint_mask + 1) 0;
     tick = 0;
-    mru = 0;
-    stats = { accesses = 0; misses = 0 };
   }
 
 (* Top-level tail recursion: a local [let rec] closure would capture its
@@ -47,32 +48,34 @@ let rec pick_lru_slot t entries victim i =
       (if t.stamps.(i) < t.stamps.(victim) then i else victim)
       (i + 1)
 
-let access t ~addr =
-  let vpn = addr lsr page_shift in
-  t.stats.accesses <- t.stats.accesses + 1;
-  t.tick <- t.tick + 1;
-  if t.vpns.(t.mru) = vpn then begin
-    t.stamps.(t.mru) <- t.tick;
+(* Everything but a hinted hit: the scan, the LRU fill and the hint
+   refresh. Kept out of line so {!access}'s hit path inlines into its
+   callers. *)
+let[@inline never] access_slow t vpn h =
+  let entries = Array.length t.vpns in
+  let slot = find_vpn t.vpns vpn entries 0 in
+  if slot >= 0 then begin
+    t.stamps.(slot) <- t.tick;
+    t.hint.(h) <- slot;
     `Hit
   end
   else begin
-    let entries = Array.length t.vpns in
-    let slot = find_vpn t.vpns vpn entries 0 in
-    if slot >= 0 then begin
-      t.stamps.(slot) <- t.tick;
-      t.mru <- slot;
-      `Hit
-    end
-    else begin
-      t.stats.misses <- t.stats.misses + 1;
-      let victim =
-        if t.vpns.(0) = invalid_vpn then 0 else pick_lru_slot t entries 0 1
-      in
-      t.vpns.(victim) <- vpn;
-      t.stamps.(victim) <- t.tick;
-      t.mru <- victim;
-      `Miss
-    end
+    let victim =
+      if t.vpns.(0) = invalid_vpn then 0 else pick_lru_slot t entries 0 1
+    in
+    t.vpns.(victim) <- vpn;
+    t.stamps.(victim) <- t.tick;
+    t.hint.(h) <- victim;
+    `Miss
   end
 
-let stats t = t.stats
+let[@inline] access t ~addr =
+  let vpn = addr lsr page_shift in
+  t.tick <- t.tick + 1;
+  let h = vpn land hint_mask in
+  let s = t.hint.(h) in
+  if t.vpns.(s) = vpn then begin
+    t.stamps.(s) <- t.tick;
+    `Hit
+  end
+  else access_slow t vpn h

@@ -570,6 +570,94 @@ let test_exec_rop_tracking () =
   check_bool "Rop valid" true v;
   check_int "Rop masked" 3 d
 
+(* ------------------------------------------------------------------ *)
+(* Tape run merging                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let run_flags dispatch =
+  Event.tag_plain_run lor if dispatch then Event.flag_dispatch else 0
+
+(* Every cell of [tape] as its [pc; flags; arg1; arg2] words. *)
+let check_cells name expected tape =
+  Alcotest.(check (list (list int)))
+    name expected
+    (List.init (Event.tape_cells tape) (fun i ->
+         Array.to_list
+           (Array.sub (Event.tape_words tape) (i * Event.cell_words)
+              Event.cell_words)))
+
+let test_run_merge_contiguous () =
+  let tape = Event.tape_create ~capacity:1 () in
+  Event.tape_push_run tape ~pc:0x100 ~dispatch:true ~count:3 ~stride:4;
+  Event.tape_push_run tape ~pc:0x10c ~dispatch:true ~count:5 ~stride:4;
+  Event.tape_push_run tape ~pc:0x120 ~dispatch:true ~count:1 ~stride:4;
+  check_cells "one run of 9" [ [ 0x100; run_flags true; 9; 4 ] ] tape;
+  (* a run cell written by a template stamp extends the same way *)
+  Event.tape_clear tape;
+  ignore
+    (Event.tape_blit tape [| 0x200; run_flags false; 2; 12 |] : int);
+  Event.tape_push_run tape ~pc:0x218 ~dispatch:false ~count:4 ~stride:12;
+  check_cells "stamped run extended" [ [ 0x200; run_flags false; 6; 12 ] ]
+    tape
+
+let test_run_merge_boundaries () =
+  (* after a dispatch run of 3 from 0x100, stride 4 (next pc 0x10c) *)
+  let two_runs name ~pc ~dispatch ~stride =
+    let tape = Event.tape_create () in
+    Event.tape_push_run tape ~pc:0x100 ~dispatch:true ~count:3 ~stride:4;
+    Event.tape_push_run tape ~pc ~dispatch ~count:5 ~stride;
+    check_cells name
+      [ [ 0x100; run_flags true; 3; 4 ]; [ pc; run_flags dispatch; 5; stride ] ]
+      tape
+  in
+  two_runs "dispatch flag changes" ~pc:0x10c ~dispatch:false ~stride:4;
+  two_runs "stride changes" ~pc:0x10c ~dispatch:true ~stride:12;
+  two_runs "pc gap" ~pc:0x110 ~dispatch:true ~stride:4;
+  two_runs "pc overlap" ~pc:0x108 ~dispatch:true ~stride:4;
+  (* a non-run cell before the run: no merge, whatever its payload *)
+  let tape = Event.tape_create () in
+  Event.tape_push tape ~pc:0x100
+    ~flags:(Event.tag_plain lor Event.flag_dispatch) ~arg1:0 ~arg2:(-1);
+  Event.tape_push_run tape ~pc:0x104 ~dispatch:true ~count:2 ~stride:4;
+  Event.tape_push tape ~pc:0x10c
+    ~flags:(Event.tag_mem_read lor Event.flag_dispatch) ~arg1:1 ~arg2:4;
+  Event.tape_push_run tape ~pc:0x110 ~dispatch:true ~count:2 ~stride:4;
+  check_cells "non-run cells break runs"
+    [ [ 0x100; Event.tag_plain lor Event.flag_dispatch; 0; -1 ];
+      [ 0x104; run_flags true; 2; 4 ];
+      [ 0x10c; Event.tag_mem_read lor Event.flag_dispatch; 1; 4 ];
+      [ 0x110; run_flags true; 2; 4 ] ]
+    tape
+
+(* A merged run is the same instructions as its two halves: draining it
+   must leave the same statistics as the halves drained as two batches.
+   The runs cross I-cache blocks and a page, on single issue (aggregate run
+   consumption) and dual issue (per-instruction loop). *)
+let test_run_merge_drains_identically () =
+  List.iter
+    (fun (name, config) ->
+      let halves = [ (0x1fd0, 10); (0x1ff8, 25) ] in
+      let merged = Scd_uarch.Pipeline.create config in
+      let tape = Event.tape_create () in
+      List.iter
+        (fun (pc, count) ->
+          Event.tape_push_run tape ~pc ~dispatch:false ~count ~stride:4)
+        halves;
+      check_int (name ^ ": merged into one cell") 1 (Event.tape_cells tape);
+      Scd_uarch.Pipeline.consume_tape merged tape;
+      let split = Scd_uarch.Pipeline.create config in
+      List.iter
+        (fun (pc, count) ->
+          Event.tape_clear tape;
+          Event.tape_push_run tape ~pc ~dispatch:false ~count ~stride:4;
+          Scd_uarch.Pipeline.consume_tape split tape)
+        halves;
+      let assoc p = Scd_uarch.Stats.to_assoc (Scd_uarch.Pipeline.stats p) in
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": same statistics") (assoc split) (assoc merged))
+    [ ("single issue", Scd_uarch.Config.simulator);
+      ("dual issue", Scd_uarch.Config.high_end) ]
+
 let () =
   Alcotest.run "scd_isa"
     [
@@ -627,5 +715,14 @@ let () =
           Alcotest.test_case "scd matches unbounded" `Quick test_exec_scd_matches_unbounded;
           Alcotest.test_case "jte flush" `Quick test_exec_jte_flush;
           Alcotest.test_case "rop tracking" `Quick test_exec_rop_tracking;
+        ] );
+      ( "tape",
+        [
+          Alcotest.test_case "run merges a contiguous run" `Quick
+            test_run_merge_contiguous;
+          Alcotest.test_case "run merge boundaries" `Quick
+            test_run_merge_boundaries;
+          Alcotest.test_case "merged run drains identically" `Quick
+            test_run_merge_drains_identically;
         ] );
     ]

@@ -274,15 +274,14 @@ let test_cache_lru_eviction () =
   check_bool "refreshed stays" true (Cache.contains c ~addr:0);
   check_bool "victim gone" false (Cache.contains c ~addr:128)
 
+(* The cache keeps no counters (the pipeline counts accesses and misses in
+   [Stats]); its answers are the statistics. *)
 let test_cache_stats () =
   let c = Cache.create small_geometry in
-  ignore (Cache.access c ~addr:0);
-  ignore (Cache.access c ~addr:4);
-  let s = Cache.stats c in
-  check_int "accesses" 2 s.accesses;
-  check_int "misses" 1 s.misses;
-  Cache.reset_stats c;
-  check_int "reset" 0 (Cache.stats c).accesses
+  let results = List.map (fun addr -> Cache.access c ~addr) [ 0; 4 ] in
+  let count r = List.length (List.filter (( = ) r) results) in
+  check_int "misses" 1 (count `Miss);
+  check_int "hits" 1 (count `Hit)
 
 let test_cache_bad_geometry () =
   Alcotest.check_raises "block size"
@@ -307,7 +306,7 @@ let test_cache_mru_matches_reference_lru () =
   let r_stamps = Array.make_matrix sets ways 0 in
   let tick = ref 0 in
   let rng = Random.State.make [| 0xCA0E |] in
-  let misses = ref 0 in
+  let misses = ref 0 and real_misses = ref 0 and real_hits = ref 0 in
   for i = 1 to 10_000 do
     (* a small address pool keeps every set under constant conflict, and
        repeats both exercise the MRU slot and defeat it *)
@@ -343,7 +342,9 @@ let test_cache_mru_matches_reference_lru () =
         (`Miss, old)
       end
     in
-    if Cache.access c ~addr <> expected then
+    let got = Cache.access c ~addr in
+    (match got with `Hit -> incr real_hits | `Miss -> incr real_misses);
+    if got <> expected then
       Alcotest.failf "access %d (addr 0x%x): hit/miss diverged from the
         reference LRU" i addr;
     if evicted >= 0 then begin
@@ -361,9 +362,8 @@ let test_cache_mru_matches_reference_lru () =
              ~addr:(((r_tags.(set).(w) lsl set_shift) lor set) lsl block_shift))
     done
   done;
-  let s = Cache.stats c in
-  check_int "same accesses" 10_000 s.accesses;
-  check_int "same misses" !misses s.misses
+  check_int "same misses" !misses !real_misses;
+  check_int "same hits" (10_000 - !misses) !real_hits
 
 let prop_cache_never_exceeds_capacity =
   QCheck.Test.make ~name:"resident blocks bounded by capacity" ~count:100
@@ -385,6 +385,115 @@ let test_tlb () =
   ignore (Tlb.access t ~addr:0x1000); (* refresh *)
   ignore (Tlb.access t ~addr:0x5000); (* evicts 0x2000 *)
   Alcotest.(check bool) "lru evicted" true (Tlb.access t ~addr:0x2000 = `Miss)
+
+(* TLB block testbench. The TLB checks a per-VPN slot hint before its slot
+   scan; the hint must be checked, never trusted, so every case below is
+   also what a plain scan-and-LRU TLB answers. VPNs [v] and [v + 64] share
+   a hint entry. *)
+let tlb_results ~entries vpns =
+  let t = Tlb.create ~entries in
+  List.map (fun v -> Tlb.access t ~addr:((v lsl Tlb.page_shift) + 0x123)) vpns
+
+let check_tlb_results name expected got =
+  Alcotest.(check (list string)) name
+    (List.map (function `Hit -> "hit" | `Miss -> "miss") expected)
+    (List.map (function `Hit -> "hit" | `Miss -> "miss") got)
+
+let test_tlb_shared_hint_entry () =
+  check_tlb_results "both VPNs stay resident and hit"
+    [ `Miss; `Miss; `Hit; `Hit; `Hit; `Hit ]
+    (tlb_results ~entries:4 [ 3; 67; 3; 67; 67; 3 ])
+
+let test_tlb_hinted_slot_refilled () =
+  (* 1 fills slot 0, 2 slot 1; 3 evicts the LRU slot 0 and refills it, so
+     1's hint names a slot that now holds 3: 1 must miss *)
+  check_tlb_results "refilled by a VPN with another hint entry"
+    [ `Miss; `Miss; `Miss; `Miss ]
+    (tlb_results ~entries:2 [ 1; 2; 3; 1 ]);
+  (* the same with the refilling VPN on 1's own hint entry *)
+  check_tlb_results "refilled by a VPN on the same hint entry"
+    [ `Miss; `Miss; `Miss; `Miss ]
+    (tlb_results ~entries:2 [ 1; 2; 65; 1 ])
+
+let test_tlb_fills_invalid_slots_first () =
+  (* while an invalid slot remains no resident VPN is evicted, however
+     recently it was used *)
+  check_tlb_results "four VPNs fill four slots"
+    [ `Miss; `Miss; `Hit; `Miss; `Miss; `Hit; `Hit; `Hit; `Hit ]
+    (tlb_results ~entries:4 [ 10; 20; 10; 30; 40; 20; 10; 30; 40 ])
+
+let test_tlb_lru_victim_order () =
+  (* 3 entries; after each miss the least recently used VPN leaves:
+     D evicts B, B evicts C, C evicts D, D evicts B, B evicts A, A evicts
+     C *)
+  let a = 1 and b = 2 and c = 3 and d = 4 in
+  check_tlb_results "victims in LRU order"
+    [ `Miss; `Miss; `Miss; `Hit; `Miss; `Miss; `Hit; `Miss; `Miss; `Hit;
+      `Hit; `Hit; `Miss; `Miss ]
+    (tlb_results ~entries:3 [ a; b; c; a; d; b; a; c; d; a; c; d; b; a ])
+
+(* A list-based reference LRU: most recent first, at most [entries] long.
+   Returns the answer and, on a miss with the TLB full, the victim. *)
+let ref_lru_access ~entries lru vpn =
+  if List.mem vpn !lru then begin
+    lru := vpn :: List.filter (fun v -> v <> vpn) !lru;
+    (`Hit, None)
+  end
+  else if List.length !lru < entries then begin
+    lru := vpn :: !lru;
+    (`Miss, None)
+  end
+  else begin
+    let rev = List.rev !lru in
+    lru := vpn :: List.rev (List.tl rev);
+    (`Miss, Some (List.hd rev))
+  end
+
+(* Random conflict-heavy VPN streams (24 VPNs on 4 hint entries, random
+   in-page offsets, 1-12 slots): the TLB must give the reference's answer
+   on every access and evict the reference's victim on every miss. A
+   victim is checked on a fresh TLB replayed to the same point (the TLB
+   has no side-effect-free probe): the victim must miss there. *)
+let prop_tlb_matches_reference_lru =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 12)
+        (list_size (int_bound 300)
+           (map3
+              (fun h k off -> (((64 * k) + h) lsl Tlb.page_shift) + off)
+              (int_bound 3) (int_bound 5) (int_bound 4095))))
+  in
+  QCheck.Test.make ~name:"tlb matches a reference LRU on conflict-heavy streams"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (entries, addrs) ->
+         Printf.sprintf "entries %d: %s" entries
+           (String.concat " " (List.map (Printf.sprintf "%#x") addrs)))
+       gen)
+    (fun (entries, addrs) ->
+      let t = Tlb.create ~entries in
+      let lru = ref [] in
+      let replay prefix =
+        let t = Tlb.create ~entries in
+        List.iter (fun addr -> ignore (Tlb.access t ~addr)) (List.rev prefix);
+        t
+      in
+      let rec go prefix = function
+        | [] -> true
+        | addr :: rest ->
+          let expected, victim =
+            ref_lru_access ~entries lru (addr lsr Tlb.page_shift)
+          in
+          let prefix = addr :: prefix in
+          Tlb.access t ~addr = expected
+          && (match victim with
+              | None -> true
+              | Some v ->
+                Tlb.access (replay prefix) ~addr:(v lsl Tlb.page_shift)
+                = `Miss)
+          && go prefix rest
+      in
+      go [] addrs)
 
 (* ------------------------------------------------------------------ *)
 (* Indirect prediction                                                 *)
@@ -708,6 +817,226 @@ let prop_tape_runs_match_single_cells =
           drain_cells config ~every batches = drain_cells config ~every singles)
         [ Config.simulator; Config.high_end ])
 
+(* An oracle for the pipeline's fetch and memory hit paths: a test-only
+   timing model of plain, memory, conditional-branch and jump cells, on
+   the same TLB, cache and predictor structures, whose fetch looks up the
+   I-TLB and the I-cache on every block change. The pipeline skips the
+   I-TLB lookup while the page stays the same; a same-page lookup only
+   re-stamps the slot holding the TLB's newest stamp, so the two must
+   agree on every counter, cycles included. *)
+type ref_pipeline = {
+  cfg : Config.t;
+  st : Stats.t;
+  itlb : Tlb.t;
+  dtlb : Tlb.t;
+  icache : Cache.t;
+  dcache : Cache.t;
+  l2 : Cache.t option;
+  dir : Direction.t;
+  rbtb : Btb.t;
+  mutable last_block : int;
+  mutable pair_open : bool;
+  mutable group_has_mem : bool;
+}
+
+let ref_pipeline (cfg : Config.t) =
+  {
+    cfg;
+    st = Stats.create ();
+    itlb = Tlb.create ~entries:cfg.itlb_entries;
+    dtlb = Tlb.create ~entries:cfg.dtlb_entries;
+    icache = Cache.create cfg.icache;
+    dcache = Cache.create cfg.dcache;
+    l2 = Option.map Cache.create cfg.l2;
+    dir = Direction.create cfg.direction;
+    rbtb =
+      Btb.create ~entries:cfg.btb_entries ~ways:cfg.btb_ways
+        ~replacement:cfg.btb_replacement ?jte_cap:cfg.jte_cap ();
+    last_block = -1;
+    pair_open = false;
+    group_has_mem = false;
+  }
+
+let ref_stall r n = r.st.cycles <- r.st.cycles + n
+
+let ref_miss_below r addr =
+  match r.l2 with
+  | None -> ref_stall r r.cfg.mem_latency
+  | Some l2 -> (
+    match Cache.access l2 ~addr with
+    | `Hit -> ref_stall r r.cfg.l2_latency
+    | `Miss ->
+      r.st.l2_misses <- r.st.l2_misses + 1;
+      ref_stall r (r.cfg.l2_latency + r.cfg.mem_latency))
+
+let ref_fetch r pc =
+  let block = pc / r.cfg.icache.block_bytes in
+  if block <> r.last_block then begin
+    r.last_block <- block;
+    (match Tlb.access r.itlb ~addr:pc with
+     | `Hit -> ()
+     | `Miss ->
+       r.st.itlb_misses <- r.st.itlb_misses + 1;
+       ref_stall r r.cfg.tlb_penalty);
+    r.st.icache_accesses <- r.st.icache_accesses + 1;
+    match Cache.access r.icache ~addr:pc with
+    | `Hit -> ()
+    | `Miss ->
+      r.st.icache_misses <- r.st.icache_misses + 1;
+      ref_miss_below r pc
+  end
+
+let ref_consume r c =
+  let pc = c.(0) and flags = c.(1) and arg1 = c.(2) in
+  let tag = flags land 0xF in
+  let dispatch = flags land Event.flag_dispatch <> 0 in
+  let mem = tag = Event.tag_mem_read || tag = Event.tag_mem_write in
+  let st = r.st in
+  st.instructions <- st.instructions + 1;
+  if dispatch then st.dispatch_instructions <- st.dispatch_instructions + 1;
+  ref_fetch r pc;
+  (* issue: pair into an open slot unless mem follows mem; a control
+     instruction closes its group *)
+  if r.pair_open && not (mem && r.group_has_mem) then begin
+    r.pair_open <- false;
+    if mem then r.group_has_mem <- true
+  end
+  else begin
+    st.cycles <- st.cycles + 1;
+    r.pair_open <- r.cfg.issue_width > 1;
+    r.group_has_mem <- mem
+  end;
+  if tag = Event.tag_cond_branch || tag = Event.tag_jump then
+    r.pair_open <- false;
+  if mem then begin
+    (match Tlb.access r.dtlb ~addr:arg1 with
+     | `Hit -> ()
+     | `Miss ->
+       st.dtlb_misses <- st.dtlb_misses + 1;
+       ref_stall r r.cfg.tlb_penalty);
+    st.dcache_accesses <- st.dcache_accesses + 1;
+    match Cache.access r.dcache ~addr:arg1 with
+    | `Hit -> ()
+    | `Miss ->
+      st.dcache_misses <- st.dcache_misses + 1;
+      ref_miss_below r arg1
+  end
+  else if tag = Event.tag_cond_branch then begin
+    let taken = flags land Event.flag_taken <> 0 in
+    st.cond_branches <- st.cond_branches + 1;
+    let predicted = Direction.predict r.dir ~pc in
+    let target =
+      if predicted then Btb.lookup_target r.rbtb ~jte:false ~key:pc
+      else Btb.no_target
+    in
+    if predicted <> taken then begin
+      st.cond_mispredicts <- st.cond_mispredicts + 1;
+      ref_stall r r.cfg.branch_penalty;
+      r.pair_open <- false;
+      if dispatch then st.mispredicts_dispatch <- st.mispredicts_dispatch + 1
+    end
+    else if taken && target = Btb.no_target then begin
+      st.direct_target_misses <- st.direct_target_misses + 1;
+      ref_stall r r.cfg.direct_bubble
+    end;
+    Direction.update r.dir ~pc ~taken;
+    if taken then Btb.insert r.rbtb ~jte:false ~key:pc ~target:arg1
+  end
+  else if tag = Event.tag_jump then begin
+    st.direct_jumps <- st.direct_jumps + 1;
+    if Btb.lookup_target r.rbtb ~jte:false ~key:pc = Btb.no_target then begin
+      st.direct_target_misses <- st.direct_target_misses + 1;
+      ref_stall r r.cfg.direct_bubble;
+      Btb.insert r.rbtb ~jte:false ~key:pc ~target:arg1
+    end
+  end
+
+(* Single-cell streams whose PCs walk 24 pages (more than either I-TLB
+   holds): mostly sequential, with block skips, same-page jumps and jumps
+   to any page, so fetches cross into neighbouring pages both by falling
+   off a page's end and by jumping. Data addresses span 64 pages. *)
+let gen_fetch_stream =
+  let open QCheck.Gen in
+  let move =
+    frequency
+      [ (5, return `Next);
+        (2, return `Next_block);
+        (2, map (fun o -> `Same_page o) (int_bound 1023));
+        (2, map2 (fun p o -> `Page (p, o)) (int_bound 23) (int_bound 1023)) ]
+  in
+  let kind =
+    frequency
+      [ (4, return `Plain);
+        (3, map2 (fun w a -> `Mem (w, a)) bool (int_bound 4095));
+        (2, map (fun taken -> `Cond taken) bool);
+        (1, return `Jump) ]
+  in
+  list_size (int_bound 400) (triple move kind bool)
+
+let fetch_stream_cells moves =
+  let page_base = 0x40000 in
+  let _, cells =
+    List.fold_left
+      (fun (pc, acc) (move, kind, dispatch) ->
+        let pc =
+          match move with
+          | `Next -> pc + 4
+          | `Next_block -> (pc lor 63) + 1
+          | `Same_page o -> (pc land lnot 4095) + (4 * o)
+          | `Page (p, o) -> page_base + (p * 4096) + (4 * o)
+        in
+        let d = if dispatch then Event.flag_dispatch else 0 in
+        let cell =
+          match kind with
+          | `Plain -> [| pc; Event.tag_plain lor d; 0; -1 |]
+          | `Mem (write, a) ->
+            [| pc;
+               (if write then Event.tag_mem_write else Event.tag_mem_read)
+               lor d;
+               0x100000 + (a * 64); -1 |]
+          | `Cond taken ->
+            [| pc;
+               Event.tag_cond_branch lor d
+               lor (if taken then Event.flag_taken else 0);
+               pc + 64; -1 |]
+          | `Jump -> [| pc; Event.tag_jump lor d; pc + 128; -1 |]
+        in
+        (pc, cell :: acc))
+      (page_base + 4092, []) moves
+  in
+  List.rev cells
+
+let prop_fetch_matches_unfiltered_reference =
+  QCheck.Test.make
+    ~name:"random single-cell streams: page-filtered fetch matches a \
+           per-block-change lookup"
+    ~count:300
+    (QCheck.make
+       ~print:(fun moves ->
+         String.concat "; "
+           (List.map
+              (fun c -> Printf.sprintf "[%#x %#x %#x]" c.(0) c.(1) c.(2))
+              (fetch_stream_cells moves)))
+       gen_fetch_stream)
+    (fun moves ->
+      let cells = fetch_stream_cells moves in
+      List.for_all
+        (fun config ->
+          let p = Pipeline.create config in
+          let tape = Event.tape_create () in
+          List.iter
+            (fun c ->
+              Event.tape_push tape ~pc:c.(0) ~flags:c.(1) ~arg1:c.(2)
+                ~arg2:c.(3))
+            cells;
+          Pipeline.consume_tape p tape;
+          let r = ref_pipeline config in
+          List.iter (ref_consume r) cells;
+          (* every counter: itlb_misses, icache_accesses/misses, cycles
+             and the rest *)
+          Stats.to_assoc (Pipeline.stats p) = Stats.to_assoc r.st)
+        [ Config.simulator; Config.high_end ])
+
 (* ------------------------------------------------------------------ *)
 (* Config                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -773,6 +1102,17 @@ let () =
           QCheck_alcotest.to_alcotest prop_cache_never_exceeds_capacity;
           Alcotest.test_case "tlb" `Quick test_tlb;
         ] );
+      ( "tlb",
+        [
+          Alcotest.test_case "two vpns share a hint entry" `Quick
+            test_tlb_shared_hint_entry;
+          Alcotest.test_case "hinted slot evicted and refilled" `Quick
+            test_tlb_hinted_slot_refilled;
+          Alcotest.test_case "fills take invalid slots first" `Quick
+            test_tlb_fills_invalid_slots_first;
+          Alcotest.test_case "lru victim order" `Quick test_tlb_lru_victim_order;
+          QCheck_alcotest.to_alcotest prop_tlb_matches_reference_lru;
+        ] );
       ( "indirect",
         [
           Alcotest.test_case "vbbi hints" `Quick test_vbbi_separates_hints;
@@ -795,6 +1135,7 @@ let () =
           Alcotest.test_case "retire boundary splits runs" `Quick
             test_pipeline_retire_boundary_splits_runs;
           QCheck_alcotest.to_alcotest prop_tape_runs_match_single_cells;
+          QCheck_alcotest.to_alcotest prop_fetch_matches_unfiltered_reference;
         ] );
       ( "config",
         [
