@@ -1,7 +1,7 @@
-(* Quick-mode smoke tests: every experiment must produce well-formed tables
-   with one row per benchmark (plus the summary row) and parseable cells.
-   These run at Test scale; the full-scale numbers are exercised by the
-   bench harness. *)
+(* Structure checks on the central figures and the persistent cache, at
+   Test scale. Every table of every experiment is pinned byte for byte by
+   the test/golden rules; the full-scale numbers are exercised by the bench
+   harness. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -21,22 +21,6 @@ let percent_cell_parses cell =
   String.length cell > 1
   && Char.equal cell.[String.length cell - 1] '%'
   && Option.is_some (float_of_string_opt (String.sub cell 0 (String.length cell - 1)))
-
-let smoke_case (e : Scd_experiments.Experiment.t) =
-  Alcotest.test_case e.id `Slow (fun () ->
-      let tables = e.run ~quick:true in
-      check_bool (e.id ^ " produces tables") true (tables <> []);
-      List.iter
-        (fun t ->
-          check_bool "has headers" true (List.length (Scd_util.Table.headers t) >= 2);
-          check_bool "has rows" true (rows_of t <> []);
-          List.iter
-            (fun row ->
-              check_int "row arity"
-                (List.length (Scd_util.Table.headers t))
-                (List.length row))
-            (rows_of t))
-        tables)
 
 (* Deeper checks on the structure of the central figures. *)
 
@@ -213,5 +197,4 @@ let () =
           Alcotest.test_case "cold then warm: zero runs" `Slow
             test_store_cold_then_warm_zero_runs;
         ] );
-      ("smoke", List.map smoke_case Scd_experiments.Registry.all);
     ]
