@@ -27,49 +27,23 @@ let lua_config scheme = { Driver.default_config with scheme }
 
 let run_multi_table ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         [ Sweep.cell ~scale "js" Scd_core.Scheme.Baseline w;
-           Sweep.cell ~scale "js" Scd_core.Scheme.Scd w;
-           Sweep.cell_custom ~tag:"multi-js"
-             { (lua_config Scd_core.Scheme.Scd) with frontend = Frontend.get "js";
-               multi_table = true }
-             w scale ])
-       Sweep.workloads);
-  let table =
-    Table.make
-      ~title:"Ablation: Section IV multi-table SCD, JavaScript interpreter"
-      ~headers:
-        [ "benchmark"; "scd speedup"; "multi-table speedup"; "bop hit (1 table)";
-          "bop hit (3 tables)" ]
+  let bop_hit header i =
+    { Sweep.header; kind = Shown (Printf.sprintf "%.3f");
+      value = (fun r -> Stats.bop_hit_rate r.(i).stats) }
   in
-  let single_r = ref [] and multi_r = ref [] in
-  List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let baseline = Sweep.run ~scale "js" Scd_core.Scheme.Baseline w in
-      let single = Sweep.run ~scale "js" Scd_core.Scheme.Scd w in
-      let multi =
-        Sweep.run_custom ~tag:"multi-js"
-          { (lua_config Scd_core.Scheme.Scd) with frontend = Frontend.get "js"; multi_table = true }
-          w scale
-      in
-      single_r := Sweep.speedup_ratio ~baseline single :: !single_r;
-      multi_r := Sweep.speedup_ratio ~baseline multi :: !multi_r;
-      Table.add_row table
-        [ w.name;
-          Table.cell_percent (Sweep.speedup ~baseline single);
-          Table.cell_percent (Sweep.speedup ~baseline multi);
-          Printf.sprintf "%.3f" (Stats.bop_hit_rate single.stats);
-          Printf.sprintf "%.3f" (Stats.bop_hit_rate multi.stats) ])
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    [ "GEOMEAN";
-      Table.cell_percent (Sweep.geomean_speedup_percent !single_r);
-      Table.cell_percent (Sweep.geomean_speedup_percent !multi_r);
-      ""; "" ];
-  [ table ]
+  [
+    Sweep.table ~title:"Ablation: Section IV multi-table SCD, JavaScript interpreter"
+      (fun w ->
+        [ Sweep.cell ~scale "js" Scd_core.Scheme.Baseline w;
+          Sweep.cell ~scale "js" Scd_core.Scheme.Scd w;
+          Sweep.cell_custom ~tag:"multi-js"
+            { (lua_config Scd_core.Scheme.Scd) with frontend = Frontend.get "js";
+              multi_table = true }
+            w scale ])
+      [ Sweep.speedup_column "scd speedup" 1;
+        Sweep.speedup_column "multi-table speedup" 2;
+        bop_hit "bop hit (1 table)" 1; bop_hit "bop hit (3 tables)" 2 ];
+  ]
 
 let multi_table_experiment =
   {
@@ -85,71 +59,48 @@ let multi_table_experiment =
 
 let run_bop_policy ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Small in
-  let gaps = [ 3; 5; 7; 9 ] in
-  Sweep.prefetch
-    (List.concat_map
-       (fun gap ->
-         List.concat_map
-           (fun policy ->
-             let machine =
-               { Config.simulator with rop_gap = gap; bop_policy = policy }
-             in
-             let tag =
-               Printf.sprintf "bop-%d-%s" gap
-                 (match policy with `Stall -> "stall" | `Fall_through -> "fall")
-             in
-             List.concat_map
-               (fun w ->
-                 [ Sweep.cell ~machine:{ machine with bop_policy = `Stall }
-                     ~scale "lua" Scd_core.Scheme.Baseline w;
-                   Sweep.cell_custom ~tag
-                     { (lua_config Scd_core.Scheme.Scd) with machine }
-                     w scale ])
-               Sweep.workloads)
-           [ `Stall; `Fall_through ])
-       gaps);
+  let points =
+    List.concat_map
+      (fun gap -> [ (gap, `Stall); (gap, `Fall_through) ])
+      [ 3; 5; 7; 9 ]
+  in
+  let policy_name = function `Stall -> "stall" | `Fall_through -> "fall" in
+  (* Per point, a (baseline, SCD) pair of cells in each row. *)
+  let rows =
+    Sweep.rows (fun w ->
+        List.concat_map
+          (fun (gap, policy) ->
+            let machine =
+              { Config.simulator with rop_gap = gap; bop_policy = policy }
+            in
+            [ Sweep.cell ~machine:{ machine with bop_policy = `Stall } ~scale "lua"
+                Scd_core.Scheme.Baseline w;
+              Sweep.cell_custom
+                ~tag:(Printf.sprintf "bop-%d-%s" gap (policy_name policy))
+                { (lua_config Scd_core.Scheme.Scd) with machine }
+                w scale ])
+          points)
+  in
   let table =
     Table.make
       ~title:
         "Ablation: Rop-not-ready policy (Section III-B), Lua geomean SCD speedup"
       ~headers:
         ("rop gap (cycles to Rop)"
-        :: List.concat_map
-             (fun g -> [ Printf.sprintf "stall@%d" g; Printf.sprintf "fall@%d" g ])
-             gaps)
+        :: List.map
+             (fun (gap, policy) -> Printf.sprintf "%s@%d" (policy_name policy) gap)
+             points)
   in
-  let cells =
-    List.concat_map
-      (fun gap ->
-        List.map
-          (fun policy ->
-            let machine =
-              { Config.simulator with rop_gap = gap; bop_policy = policy }
-            in
-            let tag =
-              Printf.sprintf "bop-%d-%s" gap
-                (match policy with `Stall -> "stall" | `Fall_through -> "fall")
-            in
-            let ratios =
-              List.map
-                (fun w ->
-                  let baseline =
-                    Sweep.run ~machine:{ machine with bop_policy = `Stall }
-                      ~scale "lua" Scd_core.Scheme.Baseline w
-                  in
-                  let scd =
-                    Sweep.run_custom ~tag
-                      { (lua_config Scd_core.Scheme.Scd) with machine }
-                      w scale
-                  in
-                  Sweep.speedup_ratio ~baseline scd)
-                Sweep.workloads
-            in
-            Table.cell_percent (Sweep.geomean_speedup_percent ratios))
-          [ `Stall; `Fall_through ])
-      gaps
-  in
-  Table.add_row table ("geomean speedup" :: cells);
+  (* Each geomean folds the workloads in registry order. *)
+  Table.add_row table
+    ("geomean speedup"
+    :: List.mapi
+         (fun i _ ->
+           Sweep.summary Speedup
+             (List.map
+                (fun (_, r) -> Sweep.speedup_ratio ~baseline:r.(2 * i) r.((2 * i) + 1))
+                rows))
+         points);
   [ table ]
 
 let bop_policy_experiment =
@@ -166,59 +117,24 @@ let bop_policy_experiment =
 
 let run_context_switch ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Small in
-  let intervals = [ Some 10_000; Some 50_000; Some 250_000; None ] in
   let name = function
     | None -> "never"
     | Some n -> Printf.sprintf "%dk" (n / 1000)
   in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w
-         :: List.map
-              (fun interval ->
-                Sweep.cell_custom ~tag:("cs-" ^ name interval)
-                  { (lua_config Scd_core.Scheme.Scd) with
-                    context_switch_interval = interval }
-                  w scale)
-              intervals)
-       Sweep.workloads);
-  let table =
-    Table.make
-      ~title:
-        "Ablation: JTE flush on context switch (Section IV), Lua SCD speedup"
-      ~headers:("benchmark" :: List.map (fun i -> "flush@" ^ name i) intervals)
-  in
-  let ratio_acc = List.map (fun i -> (name i, ref [])) intervals in
-  List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let baseline = Sweep.run ~scale "lua" Scd_core.Scheme.Baseline w in
-      let cells =
-        List.map
-          (fun interval ->
-            let r =
-              Sweep.run_custom ~tag:("cs-" ^ name interval)
-                { (lua_config Scd_core.Scheme.Scd) with
-                  context_switch_interval = interval }
-                w scale
-            in
-            (match List.assoc_opt (name interval) ratio_acc with
-             | Some acc -> acc := Sweep.speedup_ratio ~baseline r :: !acc
-             | None -> ());
-            Table.cell_percent (Sweep.speedup ~baseline r))
-          intervals
-      in
-      Table.add_row table (w.name :: cells))
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    ("GEOMEAN"
-    :: List.map
-         (fun i ->
-           Table.cell_percent
-             (Sweep.geomean_speedup_percent !(List.assoc (name i) ratio_acc)))
-         intervals);
-  [ table ]
+  [
+    Sweep.speedup_table
+      ~title:"Ablation: JTE flush on context switch (Section IV), Lua SCD speedup"
+      (List.map
+         (fun interval ->
+           ( "flush@" ^ name interval,
+             fun w ->
+               ( Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w,
+                 Sweep.cell_custom ~tag:("cs-" ^ name interval)
+                   { (lua_config Scd_core.Scheme.Scd) with
+                     context_switch_interval = interval }
+                   w scale ) ))
+         [ Some 10_000; Some 50_000; Some 250_000; None ]);
+  ]
 
 let context_switch_experiment =
   {
@@ -243,20 +159,20 @@ let run_indirect ~quick =
       ("vbbi", Scd_core.Scheme.Vbbi, None);
       ("scd", Scd_core.Scheme.Scd, None) ]
   in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w
-         :: List.map
-              (fun (label, scheme, indirect_override) ->
-                match indirect_override with
-                | None -> Sweep.cell ~scale "lua" scheme w
-                | Some _ ->
-                  Sweep.cell_custom ~tag:("ind-" ^ label)
-                    { (lua_config scheme) with indirect_override }
-                    w scale)
-              contenders)
-       Sweep.workloads);
+  (* Each row: the baseline, then one cell per contender. *)
+  let rows =
+    Sweep.rows (fun w ->
+        Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w
+        :: List.map
+             (fun (label, scheme, indirect_override) ->
+               match indirect_override with
+               | None -> Sweep.cell ~scale "lua" scheme w
+               | Some _ ->
+                 Sweep.cell_custom ~tag:("ind-" ^ label)
+                   { (lua_config scheme) with indirect_override }
+                   w scale)
+             contenders)
+  in
   let table =
     Table.make
       ~title:
@@ -264,36 +180,18 @@ let run_indirect ~quick =
       ~headers:[ "technique"; "geomean speedup"; "mean branch MPKI";
                  "mean instr ratio" ]
   in
-  let baselines =
-    List.map
-      (fun w -> (w, Sweep.run ~scale "lua" Scd_core.Scheme.Baseline w))
-      Sweep.workloads
-  in
-  List.iter
-    (fun (label, scheme, indirect_override) ->
-      let ratios, mpkis, instr_ratios =
-        List.fold_left
-          (fun (rs, ms, is) ((w : Scd_workloads.Workload.t), baseline) ->
-            let r =
-              match indirect_override with
-              | None -> Sweep.run ~scale "lua" scheme w
-              | Some _ ->
-                Sweep.run_custom ~tag:("ind-" ^ label)
-                  { (lua_config scheme) with indirect_override }
-                  w scale
-            in
-            ( Sweep.speedup_ratio ~baseline r :: rs,
-              Stats.branch_mpki r.stats :: ms,
-              (float_of_int (Driver.instructions r)
-               /. float_of_int (Driver.instructions baseline))
-              :: is ))
-          ([], [], []) baselines
+  List.iteri
+    (fun i (label, _, _) ->
+      (* A contender's row summarises its column of the sweep, folding the
+         workloads in reverse registry order. *)
+      let summary kind value =
+        Sweep.summary kind (List.rev_map (fun (_, r) -> value r.(0) r.(i + 1)) rows)
       in
       Table.add_row table
         [ label;
-          Table.cell_percent (Sweep.geomean_speedup_percent ratios);
-          Table.cell_float (Summary.mean mpkis);
-          Printf.sprintf "%.3f" (Summary.geomean instr_ratios) ])
+          summary Speedup (fun baseline r -> Sweep.speedup_ratio ~baseline r);
+          summary Mean (fun _ (r : Driver.result) -> Stats.branch_mpki r.stats);
+          summary Ratio (fun baseline r -> Sweep.instr_ratio r baseline) ])
     contenders;
   [ table ]
 
@@ -314,18 +212,17 @@ let run_cap_search ~quick =
   let caps = [ Some 4; Some 8; Some 12; Some 16; Some 24; Some 32; None ] in
   let cap_name = function None -> "inf" | Some c -> string_of_int c in
   let small = Config.with_btb_entries Config.simulator 64 in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         Sweep.cell ~machine:small ~scale "lua" Scd_core.Scheme.Baseline w
-         :: List.map
-              (fun cap ->
-                Sweep.cell_custom ~tag:("capsearch-" ^ cap_name cap)
-                  { (lua_config Scd_core.Scheme.Scd) with
-                    machine = Config.with_jte_cap small cap }
-                  w scale)
-              caps)
-       Sweep.workloads);
+  let rows =
+    Sweep.rows (fun w ->
+        Sweep.cell ~machine:small ~scale "lua" Scd_core.Scheme.Baseline w
+        :: List.map
+             (fun cap ->
+               Sweep.cell_custom ~tag:("capsearch-" ^ cap_name cap)
+                 { (lua_config Scd_core.Scheme.Scd) with
+                   machine = Config.with_jte_cap small cap }
+                 w scale)
+             caps)
+  in
   let table =
     Table.make
       ~title:
@@ -334,18 +231,11 @@ let run_cap_search ~quick =
                  "speedup uncapped"; "gain from capping" ]
   in
   List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let baseline = Sweep.run ~machine:small ~scale "lua" Scd_core.Scheme.Baseline w in
+    (fun ((w : Scd_workloads.Workload.t), r) ->
       let runs =
-        List.map
-          (fun cap ->
-            let machine = Config.with_jte_cap small cap in
-            let r =
-              Sweep.run_custom ~tag:("capsearch-" ^ cap_name cap)
-                { (lua_config Scd_core.Scheme.Scd) with machine }
-                w scale
-            in
-            (cap, Sweep.speedup ~baseline r))
+        List.mapi
+          (fun i cap ->
+            (cap, Sweep.speedup_percent (Sweep.speedup_ratio ~baseline:r.(0) r.(i + 1))))
           caps
       in
       let best_cap, best = List.fold_left
@@ -356,7 +246,7 @@ let run_cap_search ~quick =
       Table.add_row table
         [ w.name; cap_name best_cap; Table.cell_percent best;
           Table.cell_percent uncapped; Table.cell_percent (best -. uncapped) ])
-    Sweep.workloads;
+    rows;
   [ table ]
 
 let cap_search_experiment =
@@ -373,61 +263,26 @@ let cap_search_experiment =
 
 let run_superinstructions ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         [ Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w;
-           Sweep.cell_custom ~tag:"super-base"
-             { (lua_config Scd_core.Scheme.Baseline) with
-               superinstructions = true }
-             w scale;
-           Sweep.cell ~scale "lua" Scd_core.Scheme.Scd w;
-           Sweep.cell_custom ~tag:"super-scd"
-             { (lua_config Scd_core.Scheme.Scd) with superinstructions = true }
-             w scale ])
-       Sweep.workloads);
-  let table =
-    Table.make
+  [
+    Sweep.table
       ~title:
         "Ablation: superinstructions (Ertl & Gregg) vs and combined with SCD, Lua"
-      ~headers:
-        [ "benchmark"; "super speedup"; "scd speedup"; "scd+super speedup";
-          "bytecode ratio (super)" ]
-  in
-  let super_r = ref [] and scd_r = ref [] and both_r = ref [] in
-  List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let baseline = Sweep.run ~scale "lua" Scd_core.Scheme.Baseline w in
-      let super =
-        Sweep.run_custom ~tag:"super-base"
-          { (lua_config Scd_core.Scheme.Baseline) with superinstructions = true }
-          w scale
-      in
-      let scd = Sweep.run ~scale "lua" Scd_core.Scheme.Scd w in
-      let both =
-        Sweep.run_custom ~tag:"super-scd"
-          { (lua_config Scd_core.Scheme.Scd) with superinstructions = true }
-          w scale
-      in
-      super_r := Sweep.speedup_ratio ~baseline super :: !super_r;
-      scd_r := Sweep.speedup_ratio ~baseline scd :: !scd_r;
-      both_r := Sweep.speedup_ratio ~baseline both :: !both_r;
-      Table.add_row table
-        [ w.name;
-          Table.cell_percent (Sweep.speedup ~baseline super);
-          Table.cell_percent (Sweep.speedup ~baseline scd);
-          Table.cell_percent (Sweep.speedup ~baseline both);
-          Printf.sprintf "%.3f"
-            (float_of_int super.bytecodes /. float_of_int baseline.bytecodes) ])
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    [ "GEOMEAN";
-      Table.cell_percent (Sweep.geomean_speedup_percent !super_r);
-      Table.cell_percent (Sweep.geomean_speedup_percent !scd_r);
-      Table.cell_percent (Sweep.geomean_speedup_percent !both_r);
-      "" ];
-  [ table ]
+      (fun w ->
+        [ Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w;
+          Sweep.cell_custom ~tag:"super-base"
+            { (lua_config Scd_core.Scheme.Baseline) with superinstructions = true }
+            w scale;
+          Sweep.cell ~scale "lua" Scd_core.Scheme.Scd w;
+          Sweep.cell_custom ~tag:"super-scd"
+            { (lua_config Scd_core.Scheme.Scd) with superinstructions = true }
+            w scale ])
+      [ Sweep.speedup_column "super speedup" 1;
+        Sweep.speedup_column "scd speedup" 2;
+        Sweep.speedup_column "scd+super speedup" 3;
+        { header = "bytecode ratio (super)"; kind = Shown (Printf.sprintf "%.3f");
+          value =
+            (fun r -> float_of_int r.(1).bytecodes /. float_of_int r.(0).bytecodes) } ];
+  ]
 
 let superinstructions_experiment =
   {
@@ -449,69 +304,23 @@ let run_replication ~quick =
       ("scd", Scd_core.Scheme.Scd, false);
       ("scd+repl", Scd_core.Scheme.Scd, true) ]
   in
-  Sweep.prefetch
-    (List.concat_map
-       (fun (_, btb) ->
-         let machine = Config.with_btb_entries Config.simulator btb in
-         List.concat_map
-           (fun (w : Scd_workloads.Workload.t) ->
-             Sweep.cell ~machine ~scale "lua" Scd_core.Scheme.Baseline w
-             :: List.map
-                  (fun (n, scheme, repl) ->
-                    Sweep.cell_custom ~tag:(Printf.sprintf "repl-%s-%d" n btb)
-                      { (lua_config scheme) with machine;
-                        bytecode_replication = repl }
-                      w scale)
-                  variants)
-           Sweep.workloads)
-       [ ("256-entry BTB", 256); ("64-entry BTB", 64) ]);
-  let tables =
-    List.map
-      (fun (label, btb) ->
-        let machine = Config.with_btb_entries Config.simulator btb in
-        let table =
-          Table.make
-            ~title:
-              (Printf.sprintf
-                 "Ablation: bytecode replication under JT and SCD, Lua, %s" label)
-            ~headers:
-              ("benchmark" :: List.map (fun (n, _, _) -> n) variants)
-        in
-        let acc = List.map (fun (n, _, _) -> (n, ref [])) variants in
-        List.iter
-          (fun (w : Scd_workloads.Workload.t) ->
-            let baseline =
-              Sweep.run ~machine ~scale "lua" Scd_core.Scheme.Baseline w
-            in
-            let cells =
-              List.map
-                (fun (n, scheme, repl) ->
-                  let r =
-                    Sweep.run_custom ~tag:(Printf.sprintf "repl-%s-%d" n btb)
-                      { (lua_config scheme) with machine;
-                        bytecode_replication = repl }
-                      w scale
-                  in
-                  (match List.assoc_opt n acc with
-                   | Some l -> l := Sweep.speedup_ratio ~baseline r :: !l
-                   | None -> ());
-                  Table.cell_percent (Sweep.speedup ~baseline r))
-                variants
-            in
-            Table.add_row table (w.name :: cells))
-          Sweep.workloads;
-        Table.add_separator table;
-        Table.add_row table
-          ("GEOMEAN"
-          :: List.map
-               (fun (n, _, _) ->
-                 Table.cell_percent
-                   (Sweep.geomean_speedup_percent !(List.assoc n acc)))
-               variants);
-        table)
-      [ ("256-entry BTB", 256); ("64-entry BTB", 64) ]
-  in
-  tables
+  List.map
+    (fun (label, btb) ->
+      let machine = Config.with_btb_entries Config.simulator btb in
+      Sweep.speedup_table
+        ~title:
+          (Printf.sprintf "Ablation: bytecode replication under JT and SCD, Lua, %s"
+             label)
+        (List.map
+           (fun (n, scheme, repl) ->
+             ( n,
+               fun w ->
+                 ( Sweep.cell ~machine ~scale "lua" Scd_core.Scheme.Baseline w,
+                   Sweep.cell_custom ~tag:(Printf.sprintf "repl-%s-%d" n btb)
+                     { (lua_config scheme) with machine; bytecode_replication = repl }
+                     w scale ) ))
+           variants))
+    [ ("256-entry BTB", 256); ("64-entry BTB", 64) ]
 
 let replication_experiment =
   {

@@ -8,6 +8,3 @@ type t = {
       (** Regenerate the figure/table data. [quick] substitutes test-scale
           inputs for fast smoke runs. *)
 }
-
-let render t ~quick =
-  String.concat "\n" (List.map Scd_util.Table.render (t.run ~quick))

@@ -2,49 +2,20 @@
     better). Jump threading's replicated dispatchers inflate the code
     footprint; SCD leaves it untouched. *)
 
-open Scd_util
 open Scd_uarch
 
-let schemes = Scd_core.Scheme.all
-
 let table_for ~scale vm label =
-  Sweep.prefetch
-    (List.concat_map
-       (fun w -> List.map (fun scheme -> Sweep.cell ~scale vm scheme w) schemes)
-       Sweep.workloads);
-  let table =
-    Table.make
-      ~title:(Printf.sprintf "Figure 10: I-cache miss MPKI, %s" label)
-      ~headers:
-        (("benchmark" :: List.map Scd_core.Scheme.name schemes) @ [ "code bytes (jt)" ])
-  in
-  let sums = List.map (fun s -> (s, ref [])) schemes in
-  List.iter
-    (fun w ->
-      let jt_code = ref 0 in
-      let cells =
-        List.map
-          (fun scheme ->
-            let r = Sweep.run ~scale vm scheme w in
-            if scheme = Scd_core.Scheme.Jump_threading then jt_code := r.code_bytes;
-            let mpki = Stats.icache_mpki r.stats in
-            (match List.assoc_opt scheme sums with
-             | Some acc -> acc := mpki :: !acc
-             | None -> ());
-            Table.cell_float mpki)
-          schemes
-      in
-      Table.add_row table
-        ((w.Scd_workloads.Workload.name :: cells) @ [ string_of_int !jt_code ]))
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    (("MEAN"
-     :: List.map
-          (fun scheme -> Table.cell_float (Summary.mean !(List.assoc scheme sums)))
-          schemes)
-    @ [ "" ]);
-  table
+  Sweep.table
+    ~title:(Printf.sprintf "Figure 10: I-cache miss MPKI, %s" label)
+    (fun w -> List.map (fun scheme -> Sweep.cell ~scale vm scheme w) Scd_core.Scheme.all)
+    (List.mapi
+       (fun i scheme ->
+         { Sweep.header = Scd_core.Scheme.name scheme; kind = Mean;
+           value = (fun r -> Stats.icache_mpki r.(i).stats) })
+       Scd_core.Scheme.all
+    @ [ (* Scheme.all lists jump threading second *)
+        { header = "code bytes (jt)"; kind = Shown (Printf.sprintf "%.0f");
+          value = (fun r -> float_of_int r.(1).code_bytes) } ])
 
 let run ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in

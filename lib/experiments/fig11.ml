@@ -5,151 +5,54 @@
     (c)/(d): effect of capping the number of resident JTEs with the smallest
     (64-entry) BTB; the rightmost column is the uncapped default. *)
 
-open Scd_util
 open Scd_uarch
 
 let btb_sizes = [ 64; 128; 256; 512 ]
 let jte_caps = [ Some 8; Some 16; Some 32; None ]
 
-let vm_of_part = function
-  | `A | `C -> "lua"
-  | `B | `D -> "js"
-
-let size_table ~scale part label =
-  let vm = vm_of_part part in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         List.concat_map
-           (fun size ->
-             let machine = Config.with_btb_entries Config.simulator size in
-             List.map
-               (fun scheme -> Sweep.cell ~machine ~scale vm scheme w)
-               Scd_core.Scheme.[ Baseline; Scd ])
-           btb_sizes)
-       Sweep.workloads);
-  let table =
-    Table.make
-      ~title:
-        (Printf.sprintf "Figure 11(%s): SCD speedup vs BTB size, %s (%%)"
-           (match part with `A -> "a" | _ -> "b")
-           label)
-      ~headers:("benchmark" :: List.map (Printf.sprintf "btb-%d") btb_sizes)
-  in
-  let ratios = List.map (fun s -> (s, ref [])) btb_sizes in
-  List.iter
-    (fun w ->
-      let cells =
-        List.map
-          (fun size ->
-            let machine = Config.with_btb_entries Config.simulator size in
-            let baseline = Sweep.run ~machine ~scale vm Scd_core.Scheme.Baseline w in
-            let r = Sweep.run ~machine ~scale vm Scd_core.Scheme.Scd w in
-            (match List.assoc_opt size ratios with
-             | Some acc -> acc := Sweep.speedup_ratio ~baseline r :: !acc
-             | None -> ());
-            Table.cell_percent (Sweep.speedup ~baseline r))
-          btb_sizes
-      in
-      Table.add_row table (w.Scd_workloads.Workload.name :: cells))
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    ("GEOMEAN"
-    :: List.map
-         (fun size ->
-           Table.cell_percent
-             (Sweep.geomean_speedup_percent !(List.assoc size ratios)))
-         btb_sizes);
-  table
-
 let cap_name = function None -> "inf" | Some c -> string_of_int c
 
-let cap_table ~scale part label =
-  let vm = vm_of_part part in
-  let table =
-    Table.make
-      ~title:
-        (Printf.sprintf
-           "Figure 11(%s): SCD speedup vs JTE cap (64-entry BTB), %s (%%)"
-           (match part with `C -> "c" | _ -> "d")
-           label)
-      ~headers:("benchmark" :: List.map (fun c -> "cap-" ^ cap_name c) jte_caps)
-  in
+let size_table ~scale part vm label =
+  Sweep.speedup_table
+    ~title:(Printf.sprintf "Figure 11(%s): SCD speedup vs BTB size, %s (%%)" part label)
+    (List.map
+       (fun size ->
+         let machine = Config.with_btb_entries Config.simulator size in
+         ( Printf.sprintf "btb-%d" size,
+           fun w ->
+             ( Sweep.cell ~machine ~scale vm Scd_core.Scheme.Baseline w,
+               Sweep.cell ~machine ~scale vm Scd_core.Scheme.Scd w ) ))
+       btb_sizes)
+
+let cap_table ~scale part vm label =
   let small = Config.with_btb_entries Config.simulator 64 in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         Sweep.cell ~machine:small ~scale vm Scd_core.Scheme.Baseline w
-         :: List.map
-              (fun cap ->
-                Sweep.cell ~machine:(Config.with_jte_cap small cap) ~scale vm
-                  Scd_core.Scheme.Scd w)
-              jte_caps)
-       Sweep.workloads);
-  let ratios = List.map (fun c -> (cap_name c, ref [])) jte_caps in
-  List.iter
-    (fun w ->
-      let baseline = Sweep.run ~machine:small ~scale vm Scd_core.Scheme.Baseline w in
-      let cells =
-        List.map
-          (fun cap ->
-            let machine = Config.with_jte_cap small cap in
-            let r = Sweep.run ~machine ~scale vm Scd_core.Scheme.Scd w in
-            (match List.assoc_opt (cap_name cap) ratios with
-             | Some acc -> acc := Sweep.speedup_ratio ~baseline r :: !acc
-             | None -> ());
-            Table.cell_percent (Sweep.speedup ~baseline r))
-          jte_caps
-      in
-      Table.add_row table (w.Scd_workloads.Workload.name :: cells))
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    ("GEOMEAN"
-    :: List.map
-         (fun cap ->
-           Table.cell_percent
-             (Sweep.geomean_speedup_percent !(List.assoc (cap_name cap) ratios)))
-         jte_caps);
-  table
+  Sweep.speedup_table
+    ~title:
+      (Printf.sprintf "Figure 11(%s): SCD speedup vs JTE cap (64-entry BTB), %s (%%)"
+         part label)
+    (List.map
+       (fun cap ->
+         ( "cap-" ^ cap_name cap,
+           fun w ->
+             ( Sweep.cell ~machine:small ~scale vm Scd_core.Scheme.Baseline w,
+               Sweep.cell ~machine:(Config.with_jte_cap small cap) ~scale vm
+                 Scd_core.Scheme.Scd w ) ))
+       jte_caps)
 
-let run_part part ~quick =
-  let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Small in
-  match part with
-  | (`A | `B) as p ->
-    [ size_table ~scale p (match p with `A -> "Lua" | _ -> "JavaScript") ]
-  | (`C | `D) as p ->
-    [ cap_table ~scale p (match p with `C -> "Lua" | _ -> "JavaScript") ]
-
-let experiment_a =
+let experiment part table title vm label =
   {
-    Experiment.id = "fig11a";
-    paper = "Figure 11(a)";
-    title = "SCD speedup sensitivity to BTB size (Lua)";
-    run = run_part `A;
+    Experiment.id = "fig11" ^ part;
+    paper = Printf.sprintf "Figure 11(%s)" part;
+    title = Printf.sprintf "%s (%s)" title label;
+    run =
+      (fun ~quick ->
+        [ table ~scale:(Sweep.scale_for ~quick Scd_workloads.Workload.Small) part vm
+            label ]);
   }
 
-let experiment_b =
-  {
-    Experiment.id = "fig11b";
-    paper = "Figure 11(b)";
-    title = "SCD speedup sensitivity to BTB size (JavaScript)";
-    run = run_part `B;
-  }
-
-let experiment_c =
-  {
-    Experiment.id = "fig11c";
-    paper = "Figure 11(c)";
-    title = "SCD speedup vs JTE cap at 64-entry BTB (Lua)";
-    run = run_part `C;
-  }
-
-let experiment_d =
-  {
-    Experiment.id = "fig11d";
-    paper = "Figure 11(d)";
-    title = "SCD speedup vs JTE cap at 64-entry BTB (JavaScript)";
-    run = run_part `D;
-  }
+let size_title = "SCD speedup sensitivity to BTB size"
+let cap_title = "SCD speedup vs JTE cap at 64-entry BTB"
+let experiment_a = experiment "a" size_table size_title "lua" "Lua"
+let experiment_b = experiment "b" size_table size_title "js" "JavaScript"
+let experiment_c = experiment "c" cap_table cap_title "lua" "Lua"
+let experiment_d = experiment "d" cap_table cap_title "js" "JavaScript"

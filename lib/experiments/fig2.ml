@@ -7,27 +7,28 @@ open Scd_uarch
 
 let run ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in
-  Sweep.prefetch
-    (List.map
-       (fun w -> Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w)
-       Sweep.workloads);
+  let rows =
+    Sweep.rows (fun w -> [ Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w ])
+  in
   let table =
     Table.make ~title:"Figure 2: branch MPKI breakdown, Lua interpreter (baseline)"
       ~headers:[ "benchmark"; "dispatch MPKI"; "other MPKI"; "total MPKI" ]
   in
-  let totals = ref [] in
+  let mpkis (_, r) =
+    let stats = r.(0).Scd_cosim.Driver.stats in
+    (Stats.dispatch_mpki stats, Stats.branch_mpki stats)
+  in
   List.iter
-    (fun w ->
-      let r = Sweep.run ~scale "lua" Scd_core.Scheme.Baseline w in
-      let dispatch = Stats.dispatch_mpki r.stats in
-      let total = Stats.branch_mpki r.stats in
-      totals := (dispatch, total) :: !totals;
+    (fun (((w : Scd_workloads.Workload.t), _) as row) ->
+      let dispatch, total = mpkis row in
       Table.add_row table
         [ w.name; Table.cell_float dispatch;
           Table.cell_float (total -. dispatch); Table.cell_float total ])
-    Sweep.workloads;
+    rows;
   Table.add_separator table;
-  let ds = List.map fst !totals and ts = List.map snd !totals in
+  (* The "other" summary is the difference of the means, not the mean of
+     the differences. *)
+  let ds, ts = List.split (List.rev_map mpkis rows) in
   Table.add_row table
     [ "MEAN"; Table.cell_float (Summary.mean ds);
       Table.cell_float (Summary.mean ts -. Summary.mean ds);

@@ -1,34 +1,20 @@
 (** Figure 3: fraction of dynamic instructions spent in dispatcher code for
     the baseline Lua interpreter (the paper reports >25%). *)
 
-open Scd_util
 open Scd_uarch
 
 let run ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in
-  Sweep.prefetch
-    (List.map
-       (fun w -> Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w)
-       Sweep.workloads);
-  let table =
-    Table.make ~title:"Figure 3: fraction of dispatch instructions, Lua (baseline)"
-      ~headers:[ "benchmark"; "dispatch instr %"; "instrs/bytecode" ]
-  in
-  let fractions = ref [] in
-  List.iter
-    (fun w ->
-      let r = Sweep.run ~scale "lua" Scd_core.Scheme.Baseline w in
-      let f = 100.0 *. Stats.dispatch_fraction r.stats in
-      fractions := f :: !fractions;
-      Table.add_row table
-        [ w.name; Table.cell_float f;
-          Table.cell_float
-            (float_of_int r.stats.instructions /. float_of_int r.bytecodes) ])
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    [ "MEAN"; Table.cell_float (Summary.mean !fractions); "" ];
-  [ table ]
+  [
+    Sweep.table ~title:"Figure 3: fraction of dispatch instructions, Lua (baseline)"
+      (fun w -> [ Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w ])
+      [ { Sweep.header = "dispatch instr %"; kind = Mean;
+          value = (fun r -> 100.0 *. Stats.dispatch_fraction r.(0).stats) };
+        { header = "instrs/bytecode"; kind = Shown Scd_util.Table.cell_float;
+          value =
+            (fun r ->
+              float_of_int r.(0).stats.instructions /. float_of_int r.(0).bytecodes) } ];
+  ]
 
 let experiment =
   {

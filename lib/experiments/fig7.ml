@@ -2,49 +2,16 @@
     out-of-the-box baseline, per benchmark plus geomean, for both
     interpreters (the higher, the better). *)
 
-open Scd_util
-
-let schemes = Scd_core.Scheme.[ Jump_threading; Vbbi; Scd ]
-
 let table_for ~scale vm label =
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         List.map
-           (fun scheme -> Sweep.cell ~scale vm scheme w)
-           (Scd_core.Scheme.Baseline :: schemes))
-       Sweep.workloads);
-  let table =
-    Table.make
-      ~title:(Printf.sprintf "Figure 7: overall speedups, %s interpreter (%%)" label)
-      ~headers:("benchmark" :: List.map Scd_core.Scheme.name schemes)
-  in
-  let ratios = List.map (fun s -> (s, ref [])) schemes in
-  List.iter
-    (fun w ->
-      let baseline = Sweep.run ~scale vm Scd_core.Scheme.Baseline w in
-      let cells =
-        List.map
-          (fun scheme ->
-            let r = Sweep.run ~scale vm scheme w in
-            let ratio = Sweep.speedup_ratio ~baseline r in
-            (match List.assoc_opt scheme ratios with
-             | Some acc -> acc := ratio :: !acc
-             | None -> ());
-            Table.cell_percent (Sweep.speedup ~baseline r))
-          schemes
-      in
-      Table.add_row table (w.Scd_workloads.Workload.name :: cells))
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    ("GEOMEAN"
-    :: List.map
-         (fun scheme ->
-           Table.cell_percent
-             (Sweep.geomean_speedup_percent !(List.assoc scheme ratios)))
-         schemes);
-  table
+  Sweep.speedup_table
+    ~title:(Printf.sprintf "Figure 7: overall speedups, %s interpreter (%%)" label)
+    (List.map
+       (fun scheme ->
+         ( Scd_core.Scheme.name scheme,
+           fun w ->
+             ( Sweep.cell ~scale vm Scd_core.Scheme.Baseline w,
+               Sweep.cell ~scale vm scheme w ) ))
+       Scd_core.Scheme.[ Jump_threading; Vbbi; Scd ])
 
 let run ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in

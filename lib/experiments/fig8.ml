@@ -2,52 +2,21 @@
     lower, the better). VBBI executes baseline code, so only jump threading
     and SCD change the count. *)
 
-open Scd_util
-
+(* Row layout: the baseline, then each scheme the table shows. *)
 let schemes = Scd_core.Scheme.[ Jump_threading; Vbbi; Scd ]
 
 let table_for ~scale vm label =
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         List.map
-           (fun scheme -> Sweep.cell ~scale vm scheme w)
-           (Scd_core.Scheme.Baseline :: schemes))
-       Sweep.workloads);
-  let table =
-    Table.make
-      ~title:
-        (Printf.sprintf "Figure 8: normalized dynamic instruction count, %s" label)
-      ~headers:("benchmark" :: List.map Scd_core.Scheme.name schemes)
-  in
-  let ratios = List.map (fun s -> (s, ref [])) schemes in
-  List.iter
+  Sweep.table
+    ~title:(Printf.sprintf "Figure 8: normalized dynamic instruction count, %s" label)
     (fun w ->
-      let baseline = Sweep.run ~scale vm Scd_core.Scheme.Baseline w in
-      let cells =
-        List.map
-          (fun scheme ->
-            let r = Sweep.run ~scale vm scheme w in
-            let ratio =
-              float_of_int (Scd_cosim.Driver.instructions r)
-              /. float_of_int (Scd_cosim.Driver.instructions baseline)
-            in
-            (match List.assoc_opt scheme ratios with
-             | Some acc -> acc := ratio :: !acc
-             | None -> ());
-            Printf.sprintf "%.3f" ratio)
-          schemes
-      in
-      Table.add_row table (w.Scd_workloads.Workload.name :: cells))
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    ("GEOMEAN"
-    :: List.map
-         (fun scheme ->
-           Printf.sprintf "%.3f" (Summary.geomean !(List.assoc scheme ratios)))
-         schemes);
-  table
+      List.map
+        (fun scheme -> Sweep.cell ~scale vm scheme w)
+        (Scd_core.Scheme.Baseline :: schemes))
+    (List.mapi
+       (fun i scheme ->
+         { Sweep.header = Scd_core.Scheme.name scheme; kind = Ratio;
+           value = (fun r -> Sweep.instr_ratio r.(i + 1) r.(0)) })
+       schemes)
 
 let run ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in

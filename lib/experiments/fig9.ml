@@ -1,44 +1,17 @@
 (** Figure 9: branch misprediction rate in MPKI for all four schemes (the
     lower, the better). *)
 
-open Scd_util
 open Scd_uarch
 
-let schemes = Scd_core.Scheme.all
-
 let table_for ~scale vm label =
-  Sweep.prefetch
-    (List.concat_map
-       (fun w -> List.map (fun scheme -> Sweep.cell ~scale vm scheme w) schemes)
-       Sweep.workloads);
-  let table =
-    Table.make
-      ~title:(Printf.sprintf "Figure 9: branch misprediction MPKI, %s" label)
-      ~headers:("benchmark" :: List.map Scd_core.Scheme.name schemes)
-  in
-  let sums = List.map (fun s -> (s, ref [])) schemes in
-  List.iter
-    (fun w ->
-      let cells =
-        List.map
-          (fun scheme ->
-            let r = Sweep.run ~scale vm scheme w in
-            let mpki = Stats.branch_mpki r.stats in
-            (match List.assoc_opt scheme sums with
-             | Some acc -> acc := mpki :: !acc
-             | None -> ());
-            Table.cell_float mpki)
-          schemes
-      in
-      Table.add_row table (w.Scd_workloads.Workload.name :: cells))
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    ("MEAN"
-    :: List.map
-         (fun scheme -> Table.cell_float (Summary.mean !(List.assoc scheme sums)))
-         schemes);
-  table
+  Sweep.table
+    ~title:(Printf.sprintf "Figure 9: branch misprediction MPKI, %s" label)
+    (fun w -> List.map (fun scheme -> Sweep.cell ~scale vm scheme w) Scd_core.Scheme.all)
+    (List.mapi
+       (fun i scheme ->
+         { Sweep.header = Scd_core.Scheme.name scheme; kind = Mean;
+           value = (fun r -> Stats.branch_mpki r.(i).stats) })
+       Scd_core.Scheme.all)
 
 let run ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in

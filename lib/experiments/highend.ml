@@ -3,44 +3,16 @@
     reports SCD remains effective: 17.6% / 15.2% geomean speedups and ~10%
     instruction-count reductions. *)
 
-open Scd_util
-
 let table_for ~scale vm label =
   let machine = Scd_uarch.Config.high_end in
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         List.map
-           (fun scheme -> Sweep.cell ~machine ~scale vm scheme w)
-           Scd_core.Scheme.[ Baseline; Scd ])
-       Sweep.workloads);
-  let table =
-    Table.make
-      ~title:(Printf.sprintf "Section VI-C2: SCD on a high-end core, %s" label)
-      ~headers:[ "benchmark"; "scd speedup"; "inst reduction" ]
-  in
-  let speed = ref [] and inst = ref [] in
-  List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let base = Sweep.run ~machine ~scale vm Scd_core.Scheme.Baseline w in
-      let scd = Sweep.run ~machine ~scale vm Scd_core.Scheme.Scd w in
-      speed := Sweep.speedup_ratio ~baseline:base scd :: !speed;
-      let ratio =
-        float_of_int (Scd_cosim.Driver.instructions base)
-        /. float_of_int (Scd_cosim.Driver.instructions scd)
-      in
-      inst := ratio :: !inst;
-      Table.add_row table
-        [ w.name;
-          Table.cell_percent (Sweep.speedup ~baseline:base scd);
-          Table.cell_percent ((1.0 -. (1.0 /. ratio)) *. 100.0) ])
-    Sweep.workloads;
-  Table.add_separator table;
-  Table.add_row table
-    [ "GEOMEAN";
-      Table.cell_percent (Sweep.geomean_speedup_percent !speed);
-      Table.cell_percent ((1.0 -. (1.0 /. Summary.geomean !inst)) *. 100.0) ];
-  table
+  Sweep.table
+    ~title:(Printf.sprintf "Section VI-C2: SCD on a high-end core, %s" label)
+    (fun w ->
+      [ Sweep.cell ~machine ~scale vm Scd_core.Scheme.Baseline w;
+        Sweep.cell ~machine ~scale vm Scd_core.Scheme.Scd w ])
+    [ Sweep.speedup_column "scd speedup" 1;
+      { header = "inst reduction"; kind = Reduction;
+        value = (fun r -> Sweep.instr_ratio r.(0) r.(1)) } ]
 
 let run ~quick =
   let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Sim in

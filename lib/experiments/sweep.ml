@@ -11,13 +11,17 @@
     {!Scd_util.Pool}) can share it. Every cached value is a deterministic
     function of its key, so two domains racing to compute the same key
     merely duplicate work; whichever insert lands last wins with an
-    identical value. Experiments call {!prefetch} with their full
-    workload-by-configuration cell list before building tables: the cells
-    are computed concurrently on the pool, and the sequential
-    table-rendering code then reads them back from the cache in its
+    identical value.
+
+    An experiment declares each cell once, as one row of cells per
+    workload, through {!rows} (or the {!table} and {!speedup_table}
+    builders on top of it): the whole workload-by-configuration cell list
+    is computed concurrently on the pool, and the sequential
+    table-rendering code then reads the cells back from the cache in its
     original order — rendered tables are byte-identical to a sequential
     run at any [--jobs]. *)
 
+open Scd_util
 open Scd_cosim
 open Scd_uarch
 
@@ -131,31 +135,31 @@ let custom_key ~tag (w : Scd_workloads.Workload.t) scale =
 
 (** One (workload, configuration) point of a sweep: a cache key plus the
     closure that computes it. Construction is cheap; nothing runs until
-    {!prefetch} (pool fan-out) or a cache miss in {!run}/{!run_custom}.
+    {!prefetch} (pool fan-out) or a cache miss in {!get}.
     [frontend] is a registry name ("lua", "js", ...) so sweeps are
     data-driven over whatever frontends are registered. *)
 type cell = { key : string; compute : unit -> Driver.result }
 
-let compute_std ~machine ~scale frontend scheme (w : Scd_workloads.Workload.t)
-    () =
-  run_driver
-    ~key:(std_key ~machine ~scale frontend scheme w)
-    { Driver.default_config with frontend = Frontend.get frontend;
-      scheme; machine }
-    ~source:(Scd_workloads.Workload.source w scale)
-
 let cell ?(machine = Config.simulator) ?(scale = Scd_workloads.Workload.Sim)
     frontend scheme w =
-  { key = std_key ~machine ~scale frontend scheme w;
-    compute = compute_std ~machine ~scale frontend scheme w }
-
-let cell_custom ~tag (config : Driver.run_config) (w : Scd_workloads.Workload.t)
-    scale =
-  { key = custom_key ~tag w scale;
+  let key = std_key ~machine ~scale frontend scheme w in
+  { key;
     compute =
       (fun () ->
-        run_driver ~key:(custom_key ~tag w scale) config
+        run_driver ~key
+          { Driver.default_config with frontend = Frontend.get frontend;
+            scheme; machine }
           ~source:(Scd_workloads.Workload.source w scale));
+  }
+
+(* Runs with non-default driver knobs (multi-table, indirect override,
+   custom machine tweaks) are cached under an explicit tag. *)
+let cell_custom ~tag (config : Driver.run_config) (w : Scd_workloads.Workload.t)
+    scale =
+  let key = custom_key ~tag w scale in
+  { key;
+    compute =
+      (fun () -> run_driver ~key config ~source:(Scd_workloads.Workload.source w scale));
   }
 
 (** Compute every not-yet-cached cell on the active pool (deduplicated by
@@ -188,41 +192,120 @@ let prefetch cells =
 (* Cached lookups                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(machine = Config.simulator) ?(scale = Scd_workloads.Workload.Sim)
-    frontend scheme (w : Scd_workloads.Workload.t) =
-  let key = std_key ~machine ~scale frontend scheme w in
-  match find_cached key with
+(** The result of [c]: from memory, else from the store, else computed
+    here and cached. *)
+let get c =
+  match find_cached c.key with
   | Some r -> r
   | None ->
-    let r = compute_std ~machine ~scale frontend scheme w () in
-    insert key r;
-    r
-
-(** Cycle-count speedup of [r] over [baseline], in percent. *)
-let speedup ~baseline r =
-  Scd_util.Summary.speedup_percent
-    ~baseline:(float_of_int (Driver.cycles baseline))
-    ~cycles:(float_of_int (Driver.cycles r))
-
-(** Speedup expressed as a ratio (for geomeans). *)
-let speedup_ratio ~baseline r =
-  float_of_int (Driver.cycles baseline) /. float_of_int (Driver.cycles r)
-
-let geomean_speedup_percent ratios =
-  (Scd_util.Summary.geomean ratios -. 1.0) *. 100.0
-
-(* Runs with non-default driver knobs (multi-table, indirect override,
-   custom machine tweaks) are cached under an explicit tag. *)
-let run_custom ~tag (config : Driver.run_config) (w : Scd_workloads.Workload.t)
-    scale =
-  let key = custom_key ~tag w scale in
-  match find_cached key with
-  | Some r -> r
-  | None ->
-    let r = run_driver ~key config ~source:(Scd_workloads.Workload.source w scale) in
-    insert key r;
+    let r = c.compute () in
+    insert c.key r;
     r
 
 let workloads = Scd_workloads.Registry.all
 
 let scale_for ~quick default = if quick then Scd_workloads.Workload.Test else default
+
+(** [rows cells] declares one row of cells per workload ([cells w]),
+    computes the missing ones (on the pool, see {!prefetch}) and reads
+    them back: each workload with its row's results, in registry order. *)
+let rows cells =
+  let declared = List.map (fun w -> (w, cells w)) workloads in
+  prefetch (List.concat_map snd declared);
+  List.map (fun (w, cs) -> (w, Array.of_list (List.map get cs))) declared
+
+(** Cycle ratio of [r] over [baseline]: above 1 when [r] is faster. *)
+let speedup_ratio ~baseline r =
+  float_of_int (Driver.cycles baseline) /. float_of_int (Driver.cycles r)
+
+(** Dynamic instruction count of [a] over that of [b]. *)
+let instr_ratio a b =
+  float_of_int (Driver.instructions a) /. float_of_int (Driver.instructions b)
+
+(* ------------------------------------------------------------------ *)
+(* Per-workload tables                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(** How a column's per-workload values render, and how they fold into the
+    summary row. *)
+type kind =
+  | Speedup  (** A {!speedup_ratio}, shown as a percent speedup. *)
+  | Reduction  (** A ratio [baseline/cell], shown as the percent saved. *)
+  | Ratio  (** A ratio, shown to three places. *)
+  | Mean  (** A value shown to two places; the summary is their mean. *)
+  | Shown of (float -> string)  (** Shown per workload only. *)
+
+type column = {
+  header : string;
+  kind : kind;
+  value : Driver.result array -> float;  (** From one row's results. *)
+}
+
+(** [ratio] as a percent speedup. *)
+let speedup_percent ratio = (ratio -. 1.0) *. 100.0
+
+let render kind v =
+  match kind with
+  | Speedup -> Table.cell_percent (speedup_percent v)
+  | Reduction -> Table.cell_percent ((1.0 -. (1.0 /. v)) *. 100.0)
+  | Ratio -> Printf.sprintf "%.3f" v
+  | Mean -> Table.cell_float v
+  | Shown show -> show v
+
+(** The summary cell of a column of [values]: every ratio kind folds by
+    geometric mean. [Summary.geomean] sums logs, so the order of [values]
+    reaches the last bit. *)
+let summary kind values =
+  match kind with
+  | Speedup | Reduction | Ratio -> render kind (Summary.geomean values)
+  | Mean -> render kind (Summary.mean values)
+  | Shown _ -> ""
+
+(** A {!Speedup} column: the row's cell [i] over its cell 0, the
+    baseline. *)
+let speedup_column header i =
+  { header; kind = Speedup;
+    value = (fun r -> speedup_ratio ~baseline:r.(0) r.(i)) }
+
+(** A table with one row per workload, each cell of it the [value] of a
+    column over the workload's row of [cells] (see {!rows}), then a
+    separator and the summary row. The summary is labelled MEAN when a
+    column folds by arithmetic mean, GEOMEAN otherwise, and folds each
+    column's values in reverse registry order. *)
+let table ~title cells columns =
+  let rows = rows cells in
+  let t =
+    Table.make ~title
+      ~headers:("benchmark" :: List.map (fun c -> c.header) columns)
+  in
+  List.iter
+    (fun ((w : Scd_workloads.Workload.t), r) ->
+      Table.add_row t (w.name :: List.map (fun c -> render c.kind (c.value r)) columns))
+    rows;
+  Table.add_separator t;
+  let label =
+    if List.exists (fun c -> match c.kind with Mean -> true | _ -> false) columns
+    then "MEAN"
+    else "GEOMEAN"
+  in
+  Table.add_row t
+    (label
+    :: List.map (fun c -> summary c.kind (List.rev_map (fun (_, r) -> c.value r) rows))
+         columns);
+  t
+
+(** A table of {!Speedup} columns, each a [(header, pair)] where [pair w]
+    is the (baseline, cell) the column compares on workload [w]. *)
+let speedup_table ~title columns =
+  table ~title
+    (fun w ->
+      List.concat_map
+        (fun (_, pair) ->
+          let baseline, cell = pair w in
+          [ baseline; cell ])
+        columns)
+    (List.mapi
+       (fun i (header, _) ->
+         { header; kind = Speedup;
+           value = (fun r -> speedup_ratio ~baseline:r.(2 * i) r.((2 * i) + 1)) })
+       columns)

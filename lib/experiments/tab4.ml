@@ -4,6 +4,7 @@
 
 open Scd_util
 open Scd_uarch
+open Scd_cosim
 
 let fmt_count n =
   if n >= 1_000_000_000 then Printf.sprintf "%.2fB" (float_of_int n /. 1e9)
@@ -11,59 +12,27 @@ let fmt_count n =
   else if n >= 1_000 then Printf.sprintf "%.1fK" (float_of_int n /. 1e3)
   else string_of_int n
 
-(** Per-benchmark rows plus the four geomean summary numbers:
-    (jt inst savings %, jt speedup %, scd inst savings %, scd speedup %). *)
-let compute ~scale =
-  Sweep.prefetch
-    (List.concat_map
-       (fun w ->
-         List.map
-           (fun scheme -> Sweep.cell ~machine:Config.fpga ~scale "lua" scheme w)
-           Scd_core.Scheme.[ Baseline; Jump_threading; Scd ])
-       Sweep.workloads);
-  let rows = ref [] in
-  let jt_inst = ref [] and jt_speed = ref [] in
-  let scd_inst = ref [] and scd_speed = ref [] in
-  List.iter
-    (fun (w : Scd_workloads.Workload.t) ->
-      let machine = Config.fpga in
-      let vm = "lua" in
-      let base = Sweep.run ~machine ~scale vm Scd_core.Scheme.Baseline w in
-      let jt = Sweep.run ~machine ~scale vm Scd_core.Scheme.Jump_threading w in
-      let scd = Sweep.run ~machine ~scale vm Scd_core.Scheme.Scd w in
-      let inst r = Scd_cosim.Driver.instructions r in
-      let savings r =
-        100.0 *. (1.0 -. (float_of_int (inst r) /. float_of_int (inst base)))
-      in
-      let inst_ratio r = float_of_int (inst base) /. float_of_int (inst r) in
-      jt_inst := inst_ratio jt :: !jt_inst;
-      scd_inst := inst_ratio scd :: !scd_inst;
-      jt_speed := Sweep.speedup_ratio ~baseline:base jt :: !jt_speed;
-      scd_speed := Sweep.speedup_ratio ~baseline:base scd :: !scd_speed;
-      rows :=
-        [
-          w.name;
-          fmt_count (inst base); fmt_count (Scd_cosim.Driver.cycles base);
-          fmt_count (inst jt); fmt_count (Scd_cosim.Driver.cycles jt);
-          fmt_count (inst scd); fmt_count (Scd_cosim.Driver.cycles scd);
-          Table.cell_percent (savings jt);
-          Table.cell_percent (Sweep.speedup ~baseline:base jt);
-          Table.cell_percent (savings scd);
-          Table.cell_percent (Sweep.speedup ~baseline:base scd);
-        ]
-        :: !rows)
-    Sweep.workloads;
-  let geo l = Sweep.geomean_speedup_percent !l in
-  (List.rev !rows, (geo jt_inst, geo jt_speed, geo scd_inst, geo scd_speed))
+(* One row per workload: the baseline, jump threading and SCD runs. *)
+let rows ~scale =
+  Sweep.rows (fun w ->
+      List.map
+        (fun scheme -> Sweep.cell ~machine:Config.fpga ~scale "lua" scheme w)
+        Scd_core.Scheme.[ Baseline; Jump_threading; Scd ])
 
-(** The geomean SCD speedup on the FPGA configuration; Table V's EDP
-    computation consumes this. *)
+(* Row cell [i]'s instruction and cycle ratios over the baseline's, per
+   workload in the reverse registry order the summary folds them in. *)
+let instr_ratios rows i = List.rev_map (fun (_, r) -> Sweep.instr_ratio r.(0) r.(i)) rows
+
+let speedup_ratios rows i =
+  List.rev_map (fun (_, r) -> Sweep.speedup_ratio ~baseline:r.(0) r.(i)) rows
+
+(** The geomean SCD speedup on the FPGA configuration, in percent; Table V's
+    EDP computation consumes this. *)
 let scd_geomean_speedup ~scale =
-  let _, (_, _, _, scd_speed) = compute ~scale in
-  scd_speed
+  Sweep.speedup_percent (Summary.geomean (speedup_ratios (rows ~scale) 2))
 
 let run ~quick =
-  let scale = Sweep.scale_for ~quick Scd_workloads.Workload.Fpga in
+  let rows = rows ~scale:(Sweep.scale_for ~quick Scd_workloads.Workload.Fpga) in
   let table =
     Table.make
       ~title:"Table IV: Lua interpreter on the Rocket (FPGA) configuration"
@@ -72,13 +41,21 @@ let run ~quick =
           "scd inst"; "scd cyc"; "jt inst sav"; "jt speedup"; "scd inst sav";
           "scd speedup" ]
   in
-  let rows, (jt_inst, jt_speed, scd_inst, scd_speed) = compute ~scale in
-  List.iter (Table.add_row table) rows;
+  List.iter
+    (fun ((w : Scd_workloads.Workload.t), r) ->
+      let counts x = [ fmt_count (Driver.instructions x); fmt_count (Driver.cycles x) ] in
+      let savings i = Table.cell_percent (100.0 *. (1.0 -. Sweep.instr_ratio r.(i) r.(0))) in
+      let speedup i = Sweep.render Speedup (Sweep.speedup_ratio ~baseline:r.(0) r.(i)) in
+      Table.add_row table
+        ((w.name :: List.concat_map counts (Array.to_list r))
+        @ [ savings 1; speedup 1; savings 2; speedup 2 ]))
+    rows;
   Table.add_separator table;
-  Table.add_row table
-    [ "GEOMEAN"; ""; ""; ""; ""; ""; "";
-      Table.cell_percent jt_inst; Table.cell_percent jt_speed;
-      Table.cell_percent scd_inst; Table.cell_percent scd_speed ];
+  let geomean i =
+    [ Sweep.summary Speedup (instr_ratios rows i);
+      Sweep.summary Speedup (speedup_ratios rows i) ]
+  in
+  Table.add_row table ([ "GEOMEAN"; ""; ""; ""; ""; ""; "" ] @ geomean 1 @ geomean 2);
   [ table ]
 
 let experiment =

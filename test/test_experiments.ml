@@ -22,10 +22,23 @@ let percent_cell_parses cell =
   && Char.equal cell.[String.length cell - 1] '%'
   && Option.is_some (float_of_string_opt (String.sub cell 0 (String.length cell - 1)))
 
+(* A speedup table declares a baseline cell once per column, so fig7 names
+   each baseline three times; the sweep must still co-simulate every
+   distinct cell exactly once, sequentially and on a pool: 2 interpreters
+   x 4 schemes x 11 workloads = 88 runs. *)
+let test_fig7_cold_runs ~jobs () =
+  Scd_experiments.Sweep.clear ();
+  let runs0 = Scd_cosim.Driver.runs () in
+  Scd_util.Pool.with_pool ~jobs (fun pool ->
+      ignore
+        (Scd_experiments.Runner.run_all ~pool ~quick:true ~csv:false
+           [ Scd_experiments.Fig7.experiment ]
+          : Scd_experiments.Runner.rendered list));
+  check_int "cells co-simulated" 88 (Scd_cosim.Driver.runs () - runs0)
+
 (* Deeper checks on the structure of the central figures. *)
 
 let test_fig7_shape () =
-  Scd_experiments.Sweep.clear ();
   match Scd_experiments.Fig7.run ~quick:true with
   | [ lua; js ] ->
     expect_benchmark_rows lua;
@@ -181,6 +194,10 @@ let () =
     [
       ( "structure",
         [
+          Alcotest.test_case "fig7 cold, 1 job: 88 runs" `Slow
+            (test_fig7_cold_runs ~jobs:1);
+          Alcotest.test_case "fig7 cold, 2 jobs: 88 runs" `Slow
+            (test_fig7_cold_runs ~jobs:2);
           Alcotest.test_case "fig7 shape" `Slow test_fig7_shape;
           Alcotest.test_case "fig7 geomean" `Slow test_fig7_scd_wins_geomean;
           Alcotest.test_case "tab5 summary" `Slow test_tab5_summary_values;

@@ -708,8 +708,9 @@ let test_prof_sweep_cache_tiers () =
   let w = Option.get (Scd_workloads.Registry.find "fibo") in
   let run () =
     ignore
-      (Scd_experiments.Sweep.run ~scale:Scd_workloads.Workload.Test "lua"
-         Scd_core.Scheme.Baseline w
+      (Scd_experiments.Sweep.get
+         (Scd_experiments.Sweep.cell ~scale:Scd_workloads.Workload.Test "lua"
+            Scd_core.Scheme.Baseline w)
         : Scd_cosim.Driver.result)
   in
   let p =
