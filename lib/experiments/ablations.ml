@@ -178,7 +178,7 @@ let run_indirect ~quick =
       ~title:
         "Ablation: indirect-prediction shootout (related work), Lua geomean"
       ~headers:[ "technique"; "geomean speedup"; "mean branch MPKI";
-                 "mean instr ratio" ]
+                 "geomean instr ratio" ]
   in
   List.iteri
     (fun i (label, _, _) ->
