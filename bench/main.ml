@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- --only fig7,tab4
      dune exec bench/main.exe -- --jobs 4     # pooled parallel regeneration
      dune exec bench/main.exe -- --micro      # kernel microbenchmarks only
-     dune exec bench/main.exe -- --micro --check-budgets   # allocation gate
+     dune exec bench/main.exe -- --check-budgets   # exact allocation gate
      dune exec bench/main.exe -- --csv        # machine-readable output
      dune exec bench/main.exe -- --json BENCH_2026-08-06.json
      dune exec bench/main.exe -- --cache      # persist cells in _scd_cache/
@@ -22,9 +22,7 @@
 type options = {
   quick : bool;
   micro : bool;
-  micro_quota : float;  (* seconds of samples per kernel per pass *)
   check_budgets : bool;
-  budget_tolerance : float option;  (* None: Scd_obs.Budget.default_tolerance *)
   csv : bool;
   only : string list option;
   jobs : int;
@@ -34,9 +32,7 @@ type options = {
 
 let parse_args () =
   let quick = ref false and micro = ref false and csv = ref false in
-  let micro_quota = ref 1.0 in
   let check_budgets = ref false in
-  let budget_tolerance = ref None in
   let only = ref None in
   let jobs = ref (Scd_util.Pool.default_jobs ()) in
   let json = ref None in
@@ -50,21 +46,7 @@ let parse_args () =
     | [] -> ()
     | "--quick" :: rest -> quick := true; go rest
     | "--micro" :: rest -> micro := true; go rest
-    | "--micro-quota" :: rest ->
-      let v, rest = operand "--micro-quota" rest in
-      (match float_of_string_opt v with
-       | Some q when q > 0.0 -> micro_quota := q
-       | Some _ | None ->
-         fail "--micro-quota requires a positive number of seconds, got %S" v);
-      go rest
     | "--check-budgets" :: rest -> check_budgets := true; go rest
-    | "--budget-tolerance" :: rest ->
-      let v, rest = operand "--budget-tolerance" rest in
-      (match float_of_string_opt v with
-       | Some t when t >= 0.0 -> budget_tolerance := Some t
-       | Some _ | None ->
-         fail "--budget-tolerance requires a non-negative fraction, got %S" v);
-      go rest
     | "--csv" :: rest -> csv := true; go rest
     | "--only" :: rest ->
       let ids, rest = operand "--only" rest in
@@ -90,10 +72,7 @@ let parse_args () =
     | arg :: _ -> fail "unknown argument %s" arg
   in
   go (List.tl (Array.to_list Sys.argv));
-  if !check_budgets && not !micro then
-    fail "--check-budgets compares microbenchmark results: add --micro";
-  { quick = !quick; micro = !micro; micro_quota = !micro_quota;
-    check_budgets = !check_budgets; budget_tolerance = !budget_tolerance;
+  { quick = !quick; micro = !micro; check_budgets = !check_budgets;
     csv = !csv; only = !only; jobs = !jobs; json = !json; cache = !cache }
 
 (* ------------------------------------------------------------------ *)
@@ -133,8 +112,9 @@ let run_experiments ~quick ~csv ~only ~pool =
 (* Bechamel microbenchmarks of the simulator kernels                   *)
 (* ------------------------------------------------------------------ *)
 
-let micro_tests () =
-  let open Bechamel in
+(* Each kernel is a named closure: bechamel times it under --micro, and
+   its allocation is counted over direct calls (see minor_words_per_run). *)
+let micro_kernels () =
   (* pipeline throughput on a plain instruction stream: 1000 single plain
      cells on a tape filled once, outside the staged closure, and drained
      through consume_tape on every run. The pipeline lives outside the
@@ -149,8 +129,7 @@ let micro_tests () =
   let tape_micro name probe =
     let p = Scd_uarch.Pipeline.create Scd_uarch.Config.simulator in
     Scd_uarch.Pipeline.set_probe p probe;
-    Test.make ~name
-      (Staged.stage (fun () -> Scd_uarch.Pipeline.consume_tape p plain_tape))
+    (name, fun () -> Scd_uarch.Pipeline.consume_tape p plain_tape)
   in
   let pipeline_consume_tape =
     tape_micro "pipeline-consume-tape-1k" Scd_obs.Probe.null
@@ -182,38 +161,38 @@ let micro_tests () =
        Scd_cosim.Driver.default_config ~source:fib10);
   let pipeline_consume_mixed =
     let p = Scd_uarch.Pipeline.create Scd_uarch.Config.simulator in
-    Test.make ~name:"pipeline-consume-mixed-1k"
-      (Staged.stage (fun () -> Scd_uarch.Pipeline.consume_tape p mixed_tape))
+    ( "pipeline-consume-mixed-1k",
+      fun () -> Scd_uarch.Pipeline.consume_tape p mixed_tape )
   in
   let btb_ops =
-    Test.make ~name:"btb-lookup-insert-1k"
-      (Staged.stage (fun () ->
-           let b =
-             Scd_uarch.Btb.create ~entries:256 ~ways:2
-               ~replacement:Scd_uarch.Btb.Round_robin ()
-           in
-           for i = 0 to 999 do
-             let key = (i land 63) lsl 2 in
-             (match Scd_uarch.Btb.lookup b ~jte:true ~key with
-              | Some _ -> ()
-              | None -> Scd_uarch.Btb.insert b ~jte:true ~key ~target:i)
-           done))
+    ( "btb-lookup-insert-1k",
+      fun () ->
+        let b =
+          Scd_uarch.Btb.create ~entries:256 ~ways:2
+            ~replacement:Scd_uarch.Btb.Round_robin ()
+        in
+        for i = 0 to 999 do
+          let key = (i land 63) lsl 2 in
+          match Scd_uarch.Btb.lookup b ~jte:true ~key with
+          | Some _ -> ()
+          | None -> Scd_uarch.Btb.insert b ~jte:true ~key ~target:i
+        done )
   in
   let engine_bop =
-    Test.make ~name:"engine-bop-1k"
-      (Staged.stage (fun () ->
-           let btb =
-             Scd_uarch.Btb.create ~entries:256 ~ways:2
-               ~replacement:Scd_uarch.Btb.Lru ()
-           in
-           let e = Scd_core.Engine.create btb in
-           for i = 0 to 999 do
-             let opcode = i land 31 in
-             match Scd_core.Engine.bop e ~opcode with
-             | Scd_core.Engine.Hit _ -> ()
-             | Scd_core.Engine.Miss ->
-               Scd_core.Engine.jru e ~opcode:(Some opcode) ~target:(0x1000 + opcode)
-           done))
+    ( "engine-bop-1k",
+      fun () ->
+        let btb =
+          Scd_uarch.Btb.create ~entries:256 ~ways:2
+            ~replacement:Scd_uarch.Btb.Lru ()
+        in
+        let e = Scd_core.Engine.create btb in
+        for i = 0 to 999 do
+          let opcode = i land 31 in
+          match Scd_core.Engine.bop e ~opcode with
+          | Scd_core.Engine.Hit _ -> ()
+          | Scd_core.Engine.Miss ->
+            Scd_core.Engine.jru e ~opcode:(Some opcode) ~target:(0x1000 + opcode)
+        done )
   in
   let fib_program = Scd_rvm.Compiler.compile_string
       "function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end print(fib(12))"
@@ -223,35 +202,35 @@ let micro_tests () =
      pre-reuse figures paid ~130k/220k minor words of construction) *)
   let rvm_interp =
     let vm = Scd_rvm.Vm.create fib_program in
-    Test.make ~name:"rvm-fib12"
-      (Staged.stage (fun () ->
-           Scd_rvm.Vm.reset vm;
-           Scd_rvm.Vm.run vm))
+    ( "rvm-fib12",
+      fun () ->
+        Scd_rvm.Vm.reset vm;
+        Scd_rvm.Vm.run vm )
   in
   let svm_program = Scd_svm.Compiler.compile_string
       "function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end print(fib(12))"
   in
   let svm_interp =
     let vm = Scd_svm.Vm.create svm_program in
-    Test.make ~name:"svm-fib12"
-      (Staged.stage (fun () ->
-           Scd_svm.Vm.reset vm;
-           Scd_svm.Vm.run vm))
+    ( "svm-fib12",
+      fun () ->
+        Scd_svm.Vm.reset vm;
+        Scd_svm.Vm.run vm )
   in
   let direction =
-    Test.make ~name:"tournament-predict-update-1k"
-      (Staged.stage (fun () ->
-           let p =
-             Scd_uarch.Direction.create
-               (Scd_uarch.Direction.Tournament
-                  { global_entries = 512; local_history_entries = 128;
-                    local_pattern_entries = 512; chooser_entries = 512 })
-           in
-           for i = 0 to 999 do
-             let pc = 0x4000 + ((i land 15) * 4) in
-             ignore (Scd_uarch.Direction.predict p ~pc);
-             Scd_uarch.Direction.update p ~pc ~taken:(i land 3 <> 0)
-           done))
+    ( "tournament-predict-update-1k",
+      fun () ->
+        let p =
+          Scd_uarch.Direction.create
+            (Scd_uarch.Direction.Tournament
+               { global_entries = 512; local_history_entries = 128;
+                 local_pattern_entries = 512; chooser_entries = 512 })
+        in
+        for i = 0 to 999 do
+          let pc = 0x4000 + ((i land 15) * 4) in
+          ignore (Scd_uarch.Direction.predict p ~pc);
+          Scd_uarch.Direction.update p ~pc ~taken:(i land 3 <> 0)
+        done )
   in
   let asm_exec =
     let program =
@@ -266,47 +245,47 @@ let micro_tests () =
           halt
         |}
     in
-    Test.make ~name:"erv32-exec-200-iter"
-      (Staged.stage (fun () ->
-           let m = Scd_isa.Exec.create program in
-           ignore (Scd_isa.Exec.run m)))
+    ( "erv32-exec-200-iter",
+      fun () ->
+        let m = Scd_isa.Exec.create program in
+        ignore (Scd_isa.Exec.run m) )
   in
   (* the disabled host-profiler span: with no active profile the probe is
      one ref load and match, so minor allocation must stay at zero — the
      Prof counterpart of pipeline-consume-tape *)
   let noop = fun () -> () in
   let prof_span_off =
-    Test.make ~name:"prof-span-off-1k"
-      (Staged.stage (fun () ->
-           for _ = 1 to 1000 do
-             Scd_obs.Prof.span "micro" noop
-           done))
+    ( "prof-span-off-1k",
+      fun () ->
+        for _ = 1 to 1000 do
+          Scd_obs.Prof.span "micro" noop
+        done )
   in
   (* and the enabled-path cost: clock + Gc.quick_stat samples per span.
-     The profile is activated inside the staged closure (bechamel runs
-     kernels sequentially, so a profile left active would leak into every
-     later micro); ~max_events:0 keeps the event log from growing across
-     the thousands of timed runs. *)
+     The profile is activated inside the kernel (kernels run one after
+     another, so a profile left active would leak into every later micro);
+     ~max_events:0 keeps the event log from growing across the thousands
+     of timed runs. *)
   let prof_span_on =
     let profile = Scd_obs.Prof.create ~max_events:0 () in
-    Test.make ~name:"prof-span-on-1k"
-      (Staged.stage (fun () ->
-           Scd_obs.Prof.activate profile;
-           for _ = 1 to 1000 do
-             Scd_obs.Prof.span "micro" noop
-           done;
-           Scd_obs.Prof.deactivate ()))
+    ( "prof-span-on-1k",
+      fun () ->
+        Scd_obs.Prof.activate profile;
+        for _ = 1 to 1000 do
+          Scd_obs.Prof.span "micro" noop
+        done;
+        Scd_obs.Prof.deactivate () )
   in
   (* one full co-simulation per dispatch scheme, so the perf trajectory
      (and the allocation budgets) track each scheme's end-to-end cost —
      the ROADMAP's allocation-free-cosim work lands scheme by scheme *)
   let cosim_micro scheme suffix =
-    Test.make ~name:("cosim-fib10-" ^ suffix)
-      (Staged.stage (fun () ->
-           ignore
-             (Scd_cosim.Driver.run
-                { Scd_cosim.Driver.default_config with scheme }
-                ~source:fib10)))
+    ( "cosim-fib10-" ^ suffix,
+      fun () ->
+        ignore
+          (Scd_cosim.Driver.run
+             { Scd_cosim.Driver.default_config with scheme }
+             ~source:fib10) )
   in
   [ pipeline_consume_tape; pipeline_tape_probe_on; pipeline_consume_mixed;
     prof_span_off;
@@ -325,58 +304,60 @@ type micro_result = {
   promoted_words_per_run : float;
 }
 
-let run_micro ~quota =
+(* The minor words one call of [f] allocates: the Gc.minor_words delta
+   over [alloc_runs] direct calls, after one warm-up call that pays
+   first-call setup (the driver's process-wide template cache, for one).
+   Every later call allocates the same, so this is an exact count, where
+   bechamel's per-run estimate comes from counters that only advance at
+   minor collections. *)
+let alloc_runs = 10
+
+let minor_words_per_run f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to alloc_runs do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int alloc_runs
+
+let run_micro kernels =
   let open Bechamel in
   let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second quota) ~kde:(Some 500) ()
+    Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.0) ~kde:(Some 500) ()
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   print_endline
-    "== Microbenchmarks (bechamel: monotonic clock, GC allocation counters) ==";
+    "== Microbenchmarks (bechamel: monotonic clock, GC allocation counters; \
+     minor words counted exactly) ==";
   let results =
-    List.concat_map
-      (fun test ->
+    List.map
+      (fun (name, f) ->
+        let test = Test.make ~name (Staged.stage f) in
         (* Two measurement passes per kernel: bechamel loads instances in
            order and unloads in reverse, so with the clock and the GC
            counters in one pass the clock window brackets the counter
-           sampling and ns/run is inflated by the Gc.minor_words calls.
-           Timing runs alone; the allocation counters share a second pass
-           (words are exact per run, so they cannot contaminate each
-           other). *)
+           sampling and ns/run is inflated by the Gc counter calls. *)
         let time_raw =
           Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test
         in
         let alloc_raw =
-          Benchmark.all cfg
-            Toolkit.Instance.[ minor_allocated; major_allocated; promoted ]
-            test
+          Benchmark.all cfg Toolkit.Instance.[ major_allocated; promoted ] test
         in
-        let time = Analyze.all ols Toolkit.Instance.monotonic_clock time_raw in
-        let minor = Analyze.all ols Toolkit.Instance.minor_allocated alloc_raw in
-        let major = Analyze.all ols Toolkit.Instance.major_allocated alloc_raw in
-        let promoted = Analyze.all ols Toolkit.Instance.promoted alloc_raw in
-        let estimate tbl name =
-          match Hashtbl.find_opt tbl name with
+        let estimate instance raw =
+          match Hashtbl.find_opt (Analyze.all ols instance raw) name with
           | Some r -> (
             match Analyze.OLS.estimates r with
             | Some [ v ] -> v
             | _ -> Float.nan)
           | None -> Float.nan
         in
-        let names =
-          Hashtbl.fold (fun name _ acc -> name :: acc) time []
-          |> List.sort String.compare
-        in
-        List.map
-          (fun name ->
-            { name; ns_per_run = estimate time name;
-              minor_words_per_run = estimate minor name;
-              major_words_per_run = estimate major name;
-              promoted_words_per_run = estimate promoted name })
-          names)
-      (micro_tests ())
+        { name; ns_per_run = estimate Toolkit.Instance.monotonic_clock time_raw;
+          minor_words_per_run = minor_words_per_run f;
+          major_words_per_run = estimate Toolkit.Instance.major_allocated alloc_raw;
+          promoted_words_per_run = estimate Toolkit.Instance.promoted alloc_raw })
+      kernels
   in
   List.iter
     (fun r ->
@@ -392,29 +373,19 @@ let run_micro ~quota =
 (* Allocation-budget gate (--check-budgets)                            *)
 (* ------------------------------------------------------------------ *)
 
-let check_budgets ~tolerance micro =
-  let measured =
-    List.map (fun r -> (r.name, r.minor_words_per_run)) micro
+let check_budgets kernels =
+  let verdicts =
+    Scd_obs.Budget.check_measured
+      (List.map (fun (name, f) -> (name, minor_words_per_run f)) kernels)
   in
-  let verdicts = Scd_obs.Budget.check_measured ?tolerance measured in
-  print_endline "== Allocation budgets (minor words per run) ==";
-  Printf.printf "%-32s %12s %12s %12s  %s\n" "kernel" "budget" "limit"
-    "measured" "status";
-  List.iter
-    (fun (v : Scd_obs.Budget.verdict) ->
-      Printf.printf "%-32s %12.1f %12.1f %12s  %s\n" v.entry.name
-        v.entry.minor_words_per_run v.limit
-        (match v.measured with
-         | None -> "-"
-         | Some m -> Printf.sprintf "%.1f" m)
-        (Scd_obs.Budget.status_name v.status))
-    verdicts;
+  print_endline "== Allocation budgets (minor words per run, exact) ==";
+  print_string (Scd_obs.Budget.render verdicts);
   print_newline ();
   let ok = Scd_obs.Budget.ok verdicts in
   if not ok then
     prerr_endline
       "allocation budget exceeded: if the regression is deliberate, \
-       re-measure and update Scd_obs.Budget.table (lib/obs/budget.ml)";
+       update Scd_obs.Budget.table (lib/obs/budget.ml) to the measured count";
   ok
 
 (* ------------------------------------------------------------------ *)
@@ -446,8 +417,10 @@ let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
    5: added the host object (ocaml/word_size/os_type/recommended_domains —
       allocation counts are only comparable across runs on the same word
       size and runtime) and per-micro major_words_per_run /
-      promoted_words_per_run. *)
-let json_schema_version = 5
+      promoted_words_per_run;
+   6: minor_words_per_run is the exact count over direct calls, no longer
+      bechamel's estimate. *)
+let json_schema_version = 6
 
 let write_json path ~(opts : options) ~experiments ~total_seconds ~micro ~store =
   let tm = Unix.localtime (Unix.time ()) in
@@ -529,13 +502,15 @@ let () =
      with Sys_error m ->
        Printf.eprintf "--json: cannot write %s (%s)\n" path m;
        exit 2));
-  let micro = if opts.micro then run_micro ~quota:opts.micro_quota else [] in
+  let micro_only = opts.micro || opts.check_budgets in
+  let kernels = if micro_only then micro_kernels () else [] in
+  let micro = if opts.micro then run_micro kernels else [] in
   let store = Option.map Scd_experiments.Store.create opts.cache in
   Scd_experiments.Sweep.set_store store;
-  (* --micro alone keeps its legacy microbenchmark-only behaviour;
-     --micro combined with --only runs both, e.g. for one BENCH json *)
+  (* --micro or --check-budgets alone runs no experiment; combined with
+     --only it runs both, e.g. for one BENCH json *)
   let rendered, total_seconds =
-    if opts.micro && opts.only = None then ([], Float.nan)
+    if micro_only && opts.only = None then ([], Float.nan)
     else begin
       Printf.printf
         "Short-Circuit Dispatch (ISCA 2016) — evaluation regeneration harness\n";
@@ -567,6 +542,5 @@ let () =
      write_json path ~opts ~experiments:rendered ~total_seconds ~micro ~store);
   Scd_experiments.Sweep.set_store None;
   (* The budget gate runs last so a failing run still writes its --json
-     report (the evidence for updating the table). *)
-  if opts.check_budgets && not (check_budgets ~tolerance:opts.budget_tolerance micro)
-  then exit 1
+     report. *)
+  if opts.check_budgets && not (check_budgets kernels) then exit 1

@@ -5,7 +5,7 @@
      scdsim run --file prog.mina --scheme baseline
      scdsim trace fibo --interval 10000 --out t.json    telemetry run
      scdsim prof fibo --runs 3 --json p.json -o t.json  host-runtime profile
-     scdsim budget BENCH.json [--tolerance T]           allocation budgets
+     scdsim budget BENCH.json                           allocation budgets
      scdsim exp fig7 [--quick] [--csv] [--cache [DIR]]  regenerate a figure
      scdsim cache stats|clear|verify                    persistent sweep cache
      scdsim check [--seeds N] [-f F] [--faults]         differential checker
@@ -644,29 +644,14 @@ let budget_cmd =
     Arg.(required & pos 0 (some non_dir_file) None
          & info [] ~docv:"REPORT" ~doc:"A bench --json report file.")
   in
-  let tolerance =
-    Arg.(value & opt (some float) None
-         & info [ "tolerance" ] ~docv:"T"
-             ~doc:"Allowed fractional overrun before failing (default 0.10).")
-  in
-  let action report tolerance =
+  let action report =
     let ic = open_in_bin report in
     let contents = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    match Scd_obs.Budget.check_report ?tolerance contents with
+    match Scd_obs.Budget.check_report contents with
     | Error m -> `Error (false, m)
     | Ok verdicts ->
-      Printf.printf "%-32s %12s %12s %12s  %s\n" "kernel" "budget" "limit"
-        "measured" "status";
-      List.iter
-        (fun (v : Scd_obs.Budget.verdict) ->
-          Printf.printf "%-32s %12.1f %12.1f %12s  %s\n" v.entry.name
-            v.entry.minor_words_per_run v.limit
-            (match v.measured with
-             | None -> "-"
-             | Some m -> Printf.sprintf "%.1f" m)
-            (Scd_obs.Budget.status_name v.status))
-        verdicts;
+      print_string (Scd_obs.Budget.render verdicts);
       if Scd_obs.Budget.ok verdicts then `Ok ()
       else
         `Error
@@ -678,7 +663,7 @@ let budget_cmd =
     (Cmd.info "budget"
        ~doc:"Check a bench --json report against the checked-in allocation \
              budgets")
-    Term.(ret (const action $ report $ tolerance))
+    Term.(ret (const action $ report))
 
 (* ------------------------------------------------------------------ *)
 (* exp                                                                 *)
