@@ -58,6 +58,46 @@ let scale_conv =
       Format.pp_print_string fmt (Scd_workloads.Workload.scale_name s))
 
 (* ------------------------------------------------------------------ *)
+(* Arguments and errors shared by run, trace and prof                  *)
+(* ------------------------------------------------------------------ *)
+
+let workload_pos =
+  Arg.(required & pos 0 (some string) None
+       & info [] ~docv:"WORKLOAD" ~doc:"Named benchmark workload (see 'scdsim list').")
+
+let vm_arg =
+  Arg.(value & opt vm_conv (Scd_cosim.Frontend.get "lua")
+       & info [ "vm" ] ~docv:"VM" ~doc:"Interpreter: lua (register) or js (stack).")
+
+let scheme_arg =
+  Arg.(value & opt scheme_conv Scd_core.Scheme.Scd
+       & info [ "s"; "scheme" ] ~docv:"SCHEME"
+           ~doc:"Dispatch scheme: baseline, jump-threading, vbbi, scd.")
+
+let machine_arg =
+  Arg.(value & opt machine_conv Scd_uarch.Config.simulator
+       & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc:"sim, fpga or high-end.")
+
+let scale_arg =
+  Arg.(value & opt scale_conv Scd_workloads.Workload.Sim
+       & info [ "scale" ] ~docv:"SCALE" ~doc:"test, small, sim or fpga inputs.")
+
+let find_workload name =
+  match Scd_workloads.Registry.find name with
+  | Some w -> Ok w
+  | None ->
+    Error
+      (Printf.sprintf "unknown workload %S; try: %s" name
+         (String.concat ", " Scd_workloads.Registry.names))
+
+(* [f ()], with the guest script's compile and runtime errors as messages. *)
+let guest_errors f =
+  try Ok (f ()) with
+  | Scd_runtime.Value.Runtime_error m -> Error ("runtime error: " ^ m)
+  | Scd_rvm.Compiler.Error m | Scd_svm.Compiler.Error m ->
+    Error ("compile error: " ^ m)
+
+(* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -90,23 +130,6 @@ let run_cmd =
     Arg.(value & opt (some non_dir_file) None
          & info [ "f"; "file" ] ~docv:"FILE" ~doc:"Mina script file.")
   in
-  let vm =
-    Arg.(value & opt vm_conv (Scd_cosim.Frontend.get "lua")
-         & info [ "vm" ] ~docv:"VM" ~doc:"Interpreter: lua (register) or js (stack).")
-  in
-  let scheme =
-    Arg.(value & opt scheme_conv Scd_core.Scheme.Scd
-         & info [ "s"; "scheme" ] ~docv:"SCHEME"
-             ~doc:"Dispatch scheme: baseline, jump-threading, vbbi, scd.")
-  in
-  let machine =
-    Arg.(value & opt machine_conv Scd_uarch.Config.simulator
-         & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc:"sim, fpga or high-end.")
-  in
-  let scale =
-    Arg.(value & opt scale_conv Scd_workloads.Workload.Sim
-         & info [ "scale" ] ~docv:"SCALE" ~doc:"test, small, sim or fpga inputs.")
-  in
   let show_output =
     Arg.(value & flag & info [ "output" ] ~doc:"Print the script's output.")
   in
@@ -132,13 +155,8 @@ let run_cmd =
       jte_cap multi_table superinstructions =
     let source =
       match (workload, file) with
-      | Some name, None -> (
-        match Scd_workloads.Registry.find name with
-        | Some w -> Ok (Scd_workloads.Workload.source w scale)
-        | None ->
-          Error
-            (Printf.sprintf "unknown workload %S; try: %s" name
-               (String.concat ", " Scd_workloads.Registry.names)))
+      | Some name, None ->
+        Result.map (fun w -> Scd_workloads.Workload.source w scale) (find_workload name)
       | None, Some path ->
         let ic = open_in_bin path in
         let n = in_channel_length ic in
@@ -164,19 +182,16 @@ let run_cmd =
         { Scd_cosim.Driver.default_config with
           frontend = vm; scheme; machine; multi_table; superinstructions }
       in
-      (try
-         let r = Scd_cosim.Driver.run config ~source in
-         print_result scheme r ~show_output;
-         `Ok ()
-       with
-       | Scd_runtime.Value.Runtime_error m -> `Error (false, "runtime error: " ^ m)
-       | Scd_rvm.Compiler.Error m | Scd_svm.Compiler.Error m ->
-         `Error (false, "compile error: " ^ m))
+      match guest_errors (fun () -> Scd_cosim.Driver.run config ~source) with
+      | Error m -> `Error (false, m)
+      | Ok r ->
+        print_result scheme r ~show_output;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Co-simulate a script on the modelled embedded core")
-    Term.(ret (const action $ workload $ file $ vm $ scheme $ machine $ scale
-               $ show_output $ btb_entries $ jte_cap $ multi_table
+    Term.(ret (const action $ workload $ file $ vm_arg $ scheme_arg $ machine_arg
+               $ scale_arg $ show_output $ btb_entries $ jte_cap $ multi_table
                $ superinstructions))
 
 (* ------------------------------------------------------------------ *)
@@ -209,27 +224,6 @@ let attr_table ~attr ~name_of ~total_cycles attribution =
   t
 
 let trace_cmd =
-  let workload =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"WORKLOAD" ~doc:"Named benchmark workload (see 'scdsim list').")
-  in
-  let vm =
-    Arg.(value & opt vm_conv (Scd_cosim.Frontend.get "lua")
-         & info [ "vm" ] ~docv:"VM" ~doc:"Interpreter: lua (register) or js (stack).")
-  in
-  let scheme =
-    Arg.(value & opt scheme_conv Scd_core.Scheme.Scd
-         & info [ "s"; "scheme" ] ~docv:"SCHEME"
-             ~doc:"Dispatch scheme: baseline, jump-threading, vbbi, scd.")
-  in
-  let machine =
-    Arg.(value & opt machine_conv Scd_uarch.Config.simulator
-         & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc:"sim, fpga or high-end.")
-  in
-  let scale =
-    Arg.(value & opt scale_conv Scd_workloads.Workload.Sim
-         & info [ "scale" ] ~docv:"SCALE" ~doc:"test, small, sim or fpga inputs.")
-  in
   let interval =
     Arg.(value & opt int 10_000
          & info [ "interval" ] ~docv:"N"
@@ -263,13 +257,9 @@ let trace_cmd =
       context_switch multi_table =
     if interval <= 0 then `Error (false, "--interval must be positive")
     else
-      match Scd_workloads.Registry.find workload with
-      | None ->
-        `Error
-          (false,
-           Printf.sprintf "unknown workload %S; try: %s" workload
-             (String.concat ", " Scd_workloads.Registry.names))
-      | Some w ->
+      match find_workload workload with
+      | Error m -> `Error (false, m)
+      | Ok w -> (
         let source = Scd_workloads.Workload.source w scale in
         let config =
           { Scd_cosim.Driver.default_config with
@@ -277,69 +267,67 @@ let trace_cmd =
             context_switch_interval = context_switch }
         in
         let telemetry = Scd_cosim.Telemetry.create ~interval () in
-        (try
-           let r = Scd_cosim.Driver.run ~telemetry config ~source in
-           let open Scd_cosim.Telemetry in
-           let s = r.stats in
-           Printf.printf "workload          %s (%s scale, %s VM, %s)\n" w.name
-             (Scd_workloads.Workload.scale_name scale)
-             (Scd_cosim.Frontend.name vm)
-             (Scd_core.Scheme.name scheme);
-           Printf.printf "instructions      %d\n" s.Scd_uarch.Stats.instructions;
-           Printf.printf "cycles            %d\n" s.Scd_uarch.Stats.cycles;
-           Printf.printf "samples           %d (every %d instructions)\n"
-             (Scd_obs.Series.length (series telemetry))
-             (interval telemetry);
-           let cpb = cycles_per_bytecode telemetry in
-           Printf.printf "cycles/bytecode   mean %.1f  p50 <=%d  p99 <=%d  max %d\n"
-             (Scd_obs.Histogram.mean cpb)
-             (Scd_obs.Histogram.quantile cpb 0.5)
-             (Scd_obs.Histogram.quantile cpb 0.99)
-             (Scd_obs.Histogram.max_value cpb);
-           let bursts = burst_lengths telemetry in
-           Printf.printf "mispredict bursts %d (mean length %.1f, max %d)\n\n"
-             (Scd_obs.Histogram.count bursts)
-             (Scd_obs.Histogram.mean bursts)
-             (Scd_obs.Histogram.max_value bursts);
-           let table =
-             match attr with
-             | `Site ->
-               attr_table ~attr:"site" ~name_of:site_name
-                 ~total_cycles:s.Scd_uarch.Stats.cycles (site_attr telemetry)
-             | `Opcode ->
-               attr_table ~attr:"opcode" ~name_of:string_of_int
-                 ~total_cycles:s.Scd_uarch.Stats.cycles (opcode_attr telemetry)
-           in
-           print_string (Scd_util.Table.render table);
-           (match csv with
-            | None -> ()
-            | Some path ->
-              write_file path (to_csv telemetry);
-              Printf.printf "\nwrote %s\n" path);
-           match out with
-           | None -> `Ok ()
-           | Some path -> (
-             let json = to_chrome_trace telemetry in
-             match Scd_obs.Json.validate json with
-             | Error m ->
-               `Error
-                 (false, "internal error: emitted trace JSON is invalid: " ^ m)
-             | Ok () ->
-               write_file path json;
-               Printf.printf "\nwrote %s (load in chrome://tracing or Perfetto)\n"
-                 path;
-               `Ok ())
-         with
-         | Scd_runtime.Value.Runtime_error m -> `Error (false, "runtime error: " ^ m)
-         | Scd_rvm.Compiler.Error m | Scd_svm.Compiler.Error m ->
-           `Error (false, "compile error: " ^ m))
+        match guest_errors (fun () -> Scd_cosim.Driver.run ~telemetry config ~source) with
+        | Error m -> `Error (false, m)
+        | Ok r ->
+          let open Scd_cosim.Telemetry in
+          let s = r.stats in
+          Printf.printf "workload          %s (%s scale, %s VM, %s)\n" w.name
+            (Scd_workloads.Workload.scale_name scale)
+            (Scd_cosim.Frontend.name vm)
+            (Scd_core.Scheme.name scheme);
+          Printf.printf "instructions      %d\n" s.Scd_uarch.Stats.instructions;
+          Printf.printf "cycles            %d\n" s.Scd_uarch.Stats.cycles;
+          Printf.printf "samples           %d (every %d instructions)\n"
+            (Scd_obs.Series.length (series telemetry))
+            (interval telemetry);
+          let cpb = cycles_per_bytecode telemetry in
+          Printf.printf "cycles/bytecode   mean %.1f  p50 <=%d  p99 <=%d  max %d\n"
+            (Scd_obs.Histogram.mean cpb)
+            (Scd_obs.Histogram.quantile cpb 0.5)
+            (Scd_obs.Histogram.quantile cpb 0.99)
+            (Scd_obs.Histogram.max_value cpb);
+          let bursts = burst_lengths telemetry in
+          Printf.printf "mispredict bursts %d (mean length %.1f, max %d)\n\n"
+            (Scd_obs.Histogram.count bursts)
+            (Scd_obs.Histogram.mean bursts)
+            (Scd_obs.Histogram.max_value bursts);
+          let table =
+            match attr with
+            | `Site ->
+              attr_table ~attr:"site" ~name_of:site_name
+                ~total_cycles:s.Scd_uarch.Stats.cycles (site_attr telemetry)
+            | `Opcode ->
+              attr_table ~attr:"opcode" ~name_of:string_of_int
+                ~total_cycles:s.Scd_uarch.Stats.cycles (opcode_attr telemetry)
+          in
+          print_string (Scd_util.Table.render table);
+          (match csv with
+           | None -> ()
+           | Some path ->
+             write_file path (to_csv telemetry);
+             Printf.printf "\nwrote %s\n" path);
+          match out with
+          | None -> `Ok ()
+          | Some path -> (
+            let json = to_chrome_trace telemetry in
+            match Scd_obs.Json.validate json with
+            | Error m ->
+              `Error
+                (false, "internal error: emitted trace JSON is invalid: " ^ m)
+            | Ok () ->
+              write_file path json;
+              Printf.printf "\nwrote %s (load in chrome://tracing or Perfetto)\n"
+                path;
+              `Ok ()))
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Co-simulate a workload with telemetry: interval time series, \
              Chrome-trace export, per-site/per-opcode attribution")
-    Term.(ret (const action $ workload $ vm $ scheme $ machine $ scale
-               $ interval $ out $ csv $ attr $ context_switch $ multi_table))
+    Term.(ret (const action $ workload_pos $ vm_arg $ scheme_arg $ machine_arg
+               $ scale_arg $ interval $ out $ csv $ attr $ context_switch
+               $ multi_table))
 
 (* ------------------------------------------------------------------ *)
 (* prof: profile the simulator process itself                          *)
@@ -501,27 +489,6 @@ let prof_chrome_trace profile =
   Scd_obs.Chrome_trace.contents tr
 
 let prof_cmd =
-  let workload =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"WORKLOAD" ~doc:"Named benchmark workload (see 'scdsim list').")
-  in
-  let vm =
-    Arg.(value & opt vm_conv (Scd_cosim.Frontend.get "lua")
-         & info [ "vm" ] ~docv:"VM" ~doc:"Interpreter: lua (register) or js (stack).")
-  in
-  let scheme =
-    Arg.(value & opt scheme_conv Scd_core.Scheme.Scd
-         & info [ "s"; "scheme" ] ~docv:"SCHEME"
-             ~doc:"Dispatch scheme: baseline, jump-threading, vbbi, scd.")
-  in
-  let machine =
-    Arg.(value & opt machine_conv Scd_uarch.Config.simulator
-         & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc:"sim, fpga or high-end.")
-  in
-  let scale =
-    Arg.(value & opt scale_conv Scd_workloads.Workload.Sim
-         & info [ "scale" ] ~docv:"SCALE" ~doc:"test, small, sim or fpga inputs.")
-  in
   let runs =
     Arg.(value & opt int 1
          & info [ "runs" ] ~docv:"N"
@@ -541,13 +508,9 @@ let prof_cmd =
   let action workload vm scheme machine scale runs json out =
     if runs < 1 then `Error (false, "--runs must be at least 1")
     else
-      match Scd_workloads.Registry.find workload with
-      | None ->
-        `Error
-          (false,
-           Printf.sprintf "unknown workload %S; try: %s" workload
-             (String.concat ", " Scd_workloads.Registry.names))
-      | Some w ->
+      match find_workload workload with
+      | Error m -> `Error (false, m)
+      | Ok w ->
         let source = Scd_workloads.Workload.source w scale in
         let config =
           { Scd_cosim.Driver.default_config with frontend = vm; scheme; machine }
@@ -556,19 +519,13 @@ let prof_cmd =
         let outcome =
           Scd_obs.Prof.activate profile;
           Fun.protect ~finally:Scd_obs.Prof.deactivate (fun () ->
-              try
-                for _ = 1 to runs do
-                  ignore
-                    (Scd_obs.Prof.span "run" (fun () ->
-                         Scd_cosim.Driver.run config ~source)
-                      : Scd_cosim.Driver.result)
-                done;
-                Ok ()
-              with
-              | Scd_runtime.Value.Runtime_error m ->
-                Error ("runtime error: " ^ m)
-              | Scd_rvm.Compiler.Error m | Scd_svm.Compiler.Error m ->
-                Error ("compile error: " ^ m))
+              guest_errors (fun () ->
+                  for _ = 1 to runs do
+                    ignore
+                      (Scd_obs.Prof.span "run" (fun () ->
+                           Scd_cosim.Driver.run config ~source)
+                        : Scd_cosim.Driver.result)
+                  done))
         in
         (match outcome with
          | Error m -> `Error (false, m)
@@ -632,8 +589,8 @@ let prof_cmd =
     (Cmd.info "prof"
        ~doc:"Profile the simulator process: wall time and GC deltas per \
              driver phase, with JSON and Chrome-trace export")
-    Term.(ret (const action $ workload $ vm $ scheme $ machine $ scale $ runs
-               $ json $ out))
+    Term.(ret (const action $ workload_pos $ vm_arg $ scheme_arg $ machine_arg
+               $ scale_arg $ runs $ json $ out))
 
 (* ------------------------------------------------------------------ *)
 (* budget: compare a bench --json report against allocation budgets    *)
