@@ -2,7 +2,7 @@
 
     Runs a selection of experiments on a {!Scd_util.Pool}: the experiments
     themselves become pool tasks (so independent figures regenerate
-    concurrently), and while each runs, its {!Sweep.prefetch} call fans the
+    concurrently), and while each runs, its {!Sweep.rows} calls fan the
     individual (workload, configuration) cells out over the same pool —
     the pool's caller-helping queue makes this nesting deadlock-free.
 
