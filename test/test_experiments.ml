@@ -1,6 +1,8 @@
-(* Structure checks on the central figures and the persistent cache, at
-   Test scale. Every table of every experiment is pinned byte for byte by
-   the test/golden rules; the full-scale numbers are exercised by the bench
+(* Quick-mode smoke tests: every experiment must produce non-empty tables
+   whose rows all match their header's arity. Structure checks on the
+   central figures (row counts, parseable cells) and the persistent cache
+   follow. These run at Test scale; every table's bytes are pinned by the
+   test/golden rules, and the full-scale numbers are exercised by the bench
    harness. *)
 
 let check_int = Alcotest.(check int)
@@ -21,6 +23,31 @@ let percent_cell_parses cell =
   String.length cell > 1
   && Char.equal cell.[String.length cell - 1] '%'
   && Option.is_some (float_of_string_opt (String.sub cell 0 (String.length cell - 1)))
+
+(* Each experiment prefetches its cells on a two-job pool, the path of
+   [scdsim exp --jobs 2]; the goldens pin the single-job path. *)
+let run_pooled (e : Scd_experiments.Experiment.t) =
+  Scd_util.Pool.with_pool ~jobs:2 (fun pool ->
+      Scd_experiments.Sweep.set_pool (Some pool);
+      Fun.protect
+        ~finally:(fun () -> Scd_experiments.Sweep.set_pool None)
+        (fun () -> e.run ~quick:true))
+
+let smoke_case (e : Scd_experiments.Experiment.t) =
+  Alcotest.test_case e.id `Slow (fun () ->
+      let tables = run_pooled e in
+      check_bool (e.id ^ " produces tables") true (tables <> []);
+      List.iter
+        (fun t ->
+          check_bool "has headers" true (List.length (Scd_util.Table.headers t) >= 2);
+          check_bool "has rows" true (rows_of t <> []);
+          List.iter
+            (fun row ->
+              check_int "row arity"
+                (List.length (Scd_util.Table.headers t))
+                (List.length row))
+            (rows_of t))
+        tables)
 
 (* A speedup table declares a baseline cell once per column, so fig7 names
    each baseline three times; the sweep must still co-simulate every
@@ -194,14 +221,14 @@ let () =
     [
       ( "structure",
         [
-          Alcotest.test_case "fig7 cold, 1 job: 88 runs" `Slow
-            (test_fig7_cold_runs ~jobs:1);
-          Alcotest.test_case "fig7 cold, 2 jobs: 88 runs" `Slow
-            (test_fig7_cold_runs ~jobs:2);
           Alcotest.test_case "fig7 shape" `Slow test_fig7_shape;
           Alcotest.test_case "fig7 geomean" `Slow test_fig7_scd_wins_geomean;
           Alcotest.test_case "tab5 summary" `Slow test_tab5_summary_values;
           Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "fig7 cold, 1 job: 88 runs" `Slow
+            (test_fig7_cold_runs ~jobs:1);
+          Alcotest.test_case "fig7 cold, 2 jobs: 88 runs" `Slow
+            (test_fig7_cold_runs ~jobs:2);
         ] );
       ( "cache",
         [
@@ -214,4 +241,5 @@ let () =
           Alcotest.test_case "cold then warm: zero runs" `Slow
             test_store_cold_then_warm_zero_runs;
         ] );
+      ("smoke", List.map smoke_case Scd_experiments.Registry.all);
     ]
