@@ -188,10 +188,10 @@ let micro_kernels () =
         let e = Scd_core.Engine.create btb in
         for i = 0 to 999 do
           let opcode = i land 31 in
-          match Scd_core.Engine.bop e ~opcode with
-          | Scd_core.Engine.Hit _ -> ()
-          | Scd_core.Engine.Miss ->
-            Scd_core.Engine.jru e ~opcode:(Some opcode) ~target:(0x1000 + opcode)
+          if
+            Scd_core.Engine.bop_target e ~table:0 ~opcode
+            = Scd_core.Engine.no_target
+          then Scd_core.Engine.jru_code e ~table:0 ~opcode ~target:(0x1000 + opcode)
         done )
   in
   let fib_program = Scd_rvm.Compiler.compile_string

@@ -16,9 +16,9 @@ let () =
   (* Table 0: a bytecode dispatch table. Table 1: a switch statement in the
      runtime. Same opcode values, different targets. *)
   for opcode = 0 to 7 do
-    Scd_core.Engine.jru ~table:0 engine ~opcode:(Some opcode)
+    Scd_core.Engine.jru_code engine ~table:0 ~opcode
       ~target:(0x1000 + (opcode * 0x40));
-    Scd_core.Engine.jru ~table:1 engine ~opcode:(Some opcode)
+    Scd_core.Engine.jru_code engine ~table:1 ~opcode
       ~target:(0x8000 + (opcode * 0x40))
   done;
   Printf.printf "resident JTEs after filling both tables: %d\n"
@@ -26,17 +26,16 @@ let () =
 
   (* Lookups are isolated per branch ID. *)
   let hits = ref 0 and cross_collisions = ref 0 in
-  for opcode = 0 to 7 do
-    (match Scd_core.Engine.bop ~table:0 engine ~opcode with
-     | Hit target ->
-       incr hits;
-       if target <> 0x1000 + (opcode * 0x40) then incr cross_collisions
-     | Miss -> ());
-    match Scd_core.Engine.bop ~table:1 engine ~opcode with
-    | Hit target ->
+  let lookup ~table ~opcode ~expected =
+    let target = Scd_core.Engine.bop_target engine ~table ~opcode in
+    if target <> Scd_core.Engine.no_target then begin
       incr hits;
-      if target <> 0x8000 + (opcode * 0x40) then incr cross_collisions
-    | Miss -> ()
+      if target <> expected then incr cross_collisions
+    end
+  in
+  for opcode = 0 to 7 do
+    lookup ~table:0 ~opcode ~expected:(0x1000 + (opcode * 0x40));
+    lookup ~table:1 ~opcode ~expected:(0x8000 + (opcode * 0x40))
   done;
   Printf.printf "lookups hit: %d/16, cross-table collisions: %d\n" !hits
     !cross_collisions;

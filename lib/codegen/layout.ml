@@ -6,8 +6,6 @@ type site = Common_site | Call_site | Branch_site
    [build]: the per-bytecode path makes no association-list scan, hash
    lookup or [Spec] closure call, and allocates no spec record. *)
 type t = {
-  spec : Spec.t;
-  scheme : Scd_core.Scheme.t;
   site_bases : int array;
       (* by [site_index]; a site the VM lacks holds the common site's base *)
   next_sites : site array;  (* per opcode: [site_of_opcode] *)
@@ -38,26 +36,6 @@ let globals_base = 0x0050_1580
 let heap_base = 0x0060_19c0
 let string_base = 0x0080_1e00
 
-(* Dispatcher block lengths in instructions. *)
-let site_block_len (spec : Spec.t) (scheme : Scd_core.Scheme.t) ~with_loop_overhead =
-  let d = spec.dispatch in
-  let overhead = if with_loop_overhead then d.loop_overhead_instrs else 0 in
-  match scheme with
-  | Scd ->
-    (* fetch (with .op) + bop + slow path (decode/bound/target) + jru *)
-    overhead + d.fetch_instrs + d.operand_decode_instrs + 1 + d.decode_instrs
-    + d.bound_check_instrs + d.target_calc_instrs + 1
-  | Baseline | Jump_threading | Vbbi ->
-    overhead + d.fetch_instrs + d.operand_decode_instrs + d.decode_instrs
-    + d.bound_check_instrs + d.target_calc_instrs + 1
-
-(* Jump-threading replica at a handler tail: the dispatcher minus the loop
-   book-keeping — that difference is jump threading's instruction saving. *)
-let replica_len (spec : Spec.t) =
-  let d = spec.dispatch in
-  d.fetch_instrs + d.operand_decode_instrs + d.decode_instrs
-  + d.bound_check_instrs + d.target_calc_instrs + 1
-
 (* Compiled handler and helper bodies interleave their hot path with cold
    code (error arms, slow-path fallbacks, metamethod checks), so each
    executed instruction occupies [hot_stride] bytes of I-cache footprint.
@@ -68,19 +46,14 @@ let replica_len (spec : Spec.t) =
    count suggests (Figure 10). *)
 let hot_stride = 12
 
-(* Tail region size in 4-byte slots. *)
-let tail_len spec (scheme : Scd_core.Scheme.t) =
-  match scheme with
-  | Jump_threading -> replica_len spec * hot_stride / 4
-  | _ -> 1
-
-let handler_len (spec : Spec.t) scheme (h : Spec.handler_spec) =
+(* Handler size in 4-byte slots; [tail] is the tail region's. *)
+let handler_len ~tail (h : Spec.handler_spec) =
   (h.body_instrs * hot_stride / 4)
   (* The runtime-helper call is compiled handler code like the rest of the
      body, so it occupies a full hot-stride slot — its return address (and
      the tail region behind it) sits [hot_stride] bytes past the call. *)
   + (match h.rt_call with Some _ -> hot_stride / 4 | None -> 0)
-  + tail_len spec scheme
+  + tail
 
 let prefix_offsets sizes =
   let n = Array.length sizes in
@@ -108,26 +81,34 @@ let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
   in
   (* Dispatch-site blocks (unused under jump threading, where every handler
      carries a replica, but allocating them is harmless and keeps addresses
-     comparable across schemes). *)
-  let common = alloc_instrs (site_block_len spec scheme ~with_loop_overhead:true) in
+     comparable across schemes); only the common site's has the loop
+     book-keeping. A handler's tail is its jump back to a site, or a
+     replica without the book-keeping (jump threading's instruction
+     saving) at the handler stride. *)
+  let looped = Dispatcher.length (Dispatcher.get spec scheme ~overhead:true) in
+  let bare = Dispatcher.length (Dispatcher.get spec scheme ~overhead:false) in
+  let tail =
+    match (scheme : Scd_core.Scheme.t) with
+    | Jump_threading -> bare * hot_stride / 4
+    | Baseline | Vbbi | Scd -> 1
+  in
+  let common = alloc_instrs looped in
   let site_bases = Array.make 3 common in
   (* The stack VM has distinct call/branch fetch sites. *)
   if Array.exists (fun site -> site <> Common_site) next_sites then begin
     (* The branch-tail block sits below the call-tail block: every
        published figure was simulated with this placement. *)
-    site_bases.(site_index Branch_site) <-
-      alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false);
-    site_bases.(site_index Call_site) <-
-      alloc_instrs (site_block_len spec scheme ~with_loop_overhead:false)
+    site_bases.(site_index Branch_site) <- alloc_instrs bare;
+    site_bases.(site_index Call_site) <- alloc_instrs bare
   end;
   let handlers = Array.init spec.num_opcodes spec.handler in
   let handler_entries = Array.make spec.num_opcodes 0 in
   let handler_tails = Array.make spec.num_opcodes 0 in
   for op = 0 to spec.num_opcodes - 1 do
-    let len = handler_len spec scheme handlers.(op) in
+    let len = handler_len ~tail handlers.(op) in
     let base = alloc_instrs len in
     handler_entries.(op) <- base;
-    handler_tails.(op) <- base + (4 * (len - tail_len spec scheme))
+    handler_tails.(op) <- base + (4 * (len - tail))
   done;
   let default_handler = alloc_instrs 12 in
   let blob_entry (b : Spec.rt_blob) =
@@ -137,8 +118,6 @@ let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
   let builtin_blobs = Array.init Builtins.count spec.builtin_blob in
   let builtin_entries = Array.map blob_entry builtin_blobs in
   {
-    spec;
-    scheme;
     site_bases;
     next_sites;
     tail_targets =
@@ -155,9 +134,6 @@ let build ~(spec : Spec.t) ~scheme ~fn_code_sizes ~fn_const_counts =
     fn_const_offsets =
       prefix_offsets (Array.map (fun n -> 8 * n) fn_const_counts);
   }
-
-let spec t = t.spec
-let scheme t = t.scheme
 
 let site_base t site = t.site_bases.(site_index site)
 let site_of_opcode t op = t.next_sites.(op)
@@ -197,15 +173,3 @@ let access_addr_flat t ~kind ~a ~b =
   else if kind = Trace.acc_table_slot then
     heap_base + (512 * (a land 8191)) + (8 * (b land 63))
   else string_base + (64 * (a land 0xFFFF)) + (b land 63)
-
-let access_addr t (access : Trace.access) =
-  match access with
-  | Reg { slot; write } -> (stack_slot_addr t slot, write)
-  | Const { fn; index } ->
-    (access_addr_flat t ~kind:Trace.acc_const ~a:fn ~b:index, false)
-  | Global { name_hash; write } ->
-    (access_addr_flat t ~kind:Trace.acc_global ~a:name_hash ~b:0, write)
-  | Table_slot { id; slot; write } ->
-    (access_addr_flat t ~kind:Trace.acc_table_slot ~a:id ~b:slot, write)
-  | Str_bytes { id_hash; offset } ->
-    (access_addr_flat t ~kind:Trace.acc_str_bytes ~a:id_hash ~b:offset, false)

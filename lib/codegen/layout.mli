@@ -28,9 +28,6 @@ val build :
   fn_const_counts:int array ->
   t
 
-val spec : t -> Spec.t
-val scheme : t -> Scd_core.Scheme.t
-
 (* --- native code addresses --- *)
 
 val site_base : t -> site -> int
@@ -89,5 +86,3 @@ val access_addr_flat : t -> kind:int -> a:int -> b:int -> int
     ({!Scd_runtime.Trace.access_kind} and its [a]/[b] payloads); the write
     flag travels separately. Allocation-free. *)
 
-val access_addr : t -> Scd_runtime.Trace.access -> int * bool
-(** Simulated address and write flag for a boxed trace access. *)

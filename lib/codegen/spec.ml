@@ -26,13 +26,6 @@ type t = {
   dispatch_site : int -> [ `Common | `Call_tail | `Branch_tail ];
 }
 
-let dispatch_total d =
-  d.fetch_instrs + d.operand_decode_instrs + d.decode_instrs
-  + d.bound_check_instrs + d.target_calc_instrs + d.loop_overhead_instrs + 1
-
-let scd_removable d =
-  d.decode_instrs + d.bound_check_instrs + d.target_calc_instrs
-
 let plain body_instrs = { body_instrs; ctrl_branch = false; rt_call = None }
 let branchy body_instrs = { body_instrs; ctrl_branch = true; rt_call = None }
 let helper body_instrs blob = { body_instrs; ctrl_branch = false; rt_call = Some blob }

@@ -7,10 +7,13 @@
     data-dependent conditional branch, and how large the dispatcher code is.
 
     Handler sizes are calibrated so the dynamic profile matches the paper's
-    measurements: the Lua-like register VM spends >25% of instructions in a
-    35-instruction dispatch loop (Figures 1 and 3, Section V) and the
-    SpiderMonkey-like stack VM has a 29-instruction dispatcher with smaller
-    handlers but more bytecodes per unit of work. *)
+    measurements: the Lua-like register VM spends >25% of instructions in
+    its dispatch loop (Figures 1 and 3) and the SpiderMonkey-like stack VM
+    has smaller handlers but more bytecodes per unit of work. Section V
+    gives the two dispatch loops' static sizes, 35 and 29 instructions;
+    the costs here describe the path a dispatch executes, 17 (Lua) and 15
+    (JS) instructions, 18 and 16 under SCD, written out as ERV32 code by
+    {!Dispatcher} (and printed by [scdsim dispatch]). *)
 
 type rt_blob = {
   blob_id : int;
@@ -38,8 +41,8 @@ type dispatch_costs = {
           SCD). *)
   decode_instrs : int;  (** Opcode extraction: removed on the SCD fast path. *)
   bound_check_instrs : int;
-      (** Two of these are conditional-branch slots (never taken); removed
-          on the SCD fast path. *)
+      (** The compare and the never-taken branch to the default handler;
+          removed on the SCD fast path. *)
   target_calc_instrs : int;
       (** Jump-table address computation + table load; removed on the SCD
           fast path. The final indirect jump is accounted separately. *)
@@ -62,13 +65,6 @@ type t = {
           SpiderMonkey's replicated fetch sites, and [`Branch_tail] sites
           are not covered by the SCD [.op] transformation (Section III-C). *)
 }
-
-val dispatch_total : dispatch_costs -> int
-(** All dispatcher instructions including the final indirect jump. *)
-
-val scd_removable : dispatch_costs -> int
-(** Instructions the SCD fast path skips (decode + bound check + target
-    calculation; the indirect jump is replaced by [bop]). *)
 
 val rvm : t
 (** The plain register-VM binary (no fused handlers). *)

@@ -10,14 +10,11 @@ type t = {
   end_pc : int;
 }
 
-let empty = { cells = [||]; fetch_patch = -1; end_pc = 0 }
-
 let make ?(fetch_patch = -1) ?(end_pc = 0) cells = { cells; fetch_patch; end_pc }
 
 type set = {
   dispatch : t array array;
   replica : t array;
-  scd_prefix : t array;
   scd_miss : t array array;
   blobs : t array;
   builtins : t array;

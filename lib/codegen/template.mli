@@ -15,7 +15,8 @@
     time — data-access addresses, taken bits, bop hits, engine-supplied
     targets — is either a patch word or a separately pushed cell; the
     stamped tape must be word-for-word identical to the push-based
-    expansion (the differential tests assert exactly that). *)
+    expansion (the differential tests assert exactly that). The driver
+    builds dispatch templates by walking slices of the {!Dispatcher}. *)
 
 type t = {
   cells : int array;
@@ -33,28 +34,23 @@ type t = {
           dispatch prefix, whose end is the [bop] PC). *)
 }
 
-val empty : t
-
 val make : ?fetch_patch:int -> ?end_pc:int -> int array -> t
 
 type set = {
   dispatch : t array array;
-      (** [dispatch.(site).(opcode)]: the full dispatcher sequence
-          reaching [opcode]'s handler from dispatch site [site] (compact
-          4-byte-stride site block, loop-overhead prefix on the common
-          site only). Non-SCD schemes; under jump threading only site 0 is
-          populated (the one pre-replica dispatch). One patch: the fetch
+      (** [dispatch.(site).(opcode)]: the dispatcher reaching [opcode]'s
+          handler from dispatch site [site] (compact 4-byte-stride site
+          block, loop-overhead prefix on the common site only); under
+          jump threading only the first dispatch uses it. Under SCD it
+          stops before the [bop], whose outcome depends on the engine's
+          architectural state at trace time, so it is the same for every
+          opcode and its [end_pc] is the [bop] PC. One patch: the fetch
           address. *)
   replica : t array;
       (** [replica.(opcode)]: jump-threading replica dispatcher,
           base-relative (stamped at the previous handler's tail with
           {!stamp_replica}), spaced {!Layout.hot_stride}. One patch: the
           fetch address. *)
-  scd_prefix : t array;
-      (** [scd_prefix.(site)]: the SCD dispatcher up to (excluding) the
-          [bop] — the rest depends on the engine's architectural state at
-          trace time. [end_pc] is the [bop] PC. One patch: the fetch
-          address. *)
   scd_miss : t array array;
       (** [scd_miss.(site).(opcode)]: the [bop]-miss slow path —
           decode/bound-check/target-calculation from the [bop]

@@ -53,8 +53,6 @@ let check_opcode opcode =
   if opcode < 0 || opcode >= 1 lsl opcode_bits then
     invalid_arg (Printf.sprintf "Engine: opcode %d out of range" opcode)
 
-type outcome = Hit of int | Miss
-
 let no_target = Scd_uarch.Btb.no_target
 
 let bop_target t ~table ~opcode =
@@ -64,10 +62,6 @@ let bop_target t ~table ~opcode =
   let target = Scd_uarch.Btb.lookup_target t.btb ~jte:true ~key:(key ~table ~opcode) in
   if target != no_target then t.stats.bop_hits <- t.stats.bop_hits + 1;
   target
-
-let bop ?(table = 0) t ~opcode =
-  let target = bop_target t ~table ~opcode in
-  if target == no_target then Miss else Hit target
 
 (* [opcode < 0] means Rop was invalid: jru behaves as a plain indirect
    jump and inserts nothing. *)
@@ -79,9 +73,6 @@ let jru_code t ~table ~opcode ~target =
     Scd_uarch.Btb.insert t.btb ~jte:true ~key:(key ~table ~opcode) ~target;
     audit t
   end
-
-let jru ?(table = 0) t ~opcode ~target =
-  jru_code t ~table ~opcode:(match opcode with None -> -1 | Some o -> o) ~target
 
 let jte_flush t =
   t.stats.flushes <- t.stats.flushes + 1;
@@ -138,7 +129,8 @@ let exec_backend ?(table = 0) t : Scd_isa.Exec.scd_backend =
   {
     bop_lookup =
       (fun ~opcode ->
-        match bop ~table t ~opcode with Hit target -> Some target | Miss -> None);
-    jru_insert = (fun ~opcode ~target -> jru ~table t ~opcode:(Some opcode) ~target);
+        let target = bop_target t ~table ~opcode in
+        if target == no_target then None else Some target);
+    jru_insert = (fun ~opcode ~target -> jru_code t ~table ~opcode ~target);
     jte_flush = (fun () -> jte_flush t);
   }

@@ -10,7 +10,7 @@
 
     Unlike a predictor, JTE contents are architecturally visible: a [bop]
     hit *redirects execution*. Trace generators must therefore consult
-    {!bop} while producing the instruction stream (fast path on a hit, slow
+    {!bop_target} while producing the instruction stream (fast path on a hit, slow
     path on a miss) — the outcome cannot be bolted on afterwards.
 
     Multiple jump tables (Section IV) are supported through branch IDs: each
@@ -36,8 +36,6 @@ val create : ?tables:int -> Scd_uarch.Btb.t -> t
 (** [tables] is the number of simultaneously-tracked jump tables (default 1,
     max 16). *)
 
-type outcome = Hit of int | Miss
-
 val no_target : int
 (** Miss sentinel for {!bop_target} (equals {!Scd_uarch.Btb.no_target}). *)
 
@@ -47,17 +45,10 @@ val bop_target : t -> table:int -> opcode:int -> int
     a required argument: an optional one costs its caller a [Some] box
     per call wherever the call is not inlined. *)
 
-val bop : ?table:int -> t -> opcode:int -> outcome
-(** Boxing shim over {!bop_target} ([table] defaults to 0). *)
-
 val jru_code : t -> table:int -> opcode:int -> target:int -> unit
 (** Allocation-free architectural [jru]: insert a JTE when [opcode] is
     non-negative (i.e. Rop was valid), honouring JTE priority and the BTB's
     JTE cap; a negative opcode inserts nothing. *)
-
-val jru : ?table:int -> t -> opcode:int option -> target:int -> unit
-(** Shim over {!jru_code} ([table] defaults to 0; [None] maps to a
-    negative opcode). *)
 
 val jte_flush : t -> unit
 

@@ -56,6 +56,7 @@ type expander = {
   multi_table : bool;
       (* Section IV: one (Rop, Rmask, Rbop-pc) set per dispatch site, each
          with its own branch-ID-tagged jump table. *)
+  rop_ready : bool;  (* Rop is ready when a bop issues (fixed per run) *)
   mutable prev_opcode : int;  (* -1 before the first dispatch *)
   last_bop_pcs : int array;  (* Rbop-pc, per branch ID *)
   mutable bytecodes : int;
@@ -76,29 +77,17 @@ type expander = {
       (* Precompiled per-(site, opcode) cell templates: when present,
          [on_bytecode] stamps whole dispatcher / helper-call sequences with
          {!Event.tape_blit} and patches the run-dependent words, instead of
-         re-deriving every cell through the emit helpers. Only on [`Flat];
-         [`Flat_push] keeps the cell-by-cell emission for differential
-         testing. *)
+         walking the dispatcher cell by cell. Only on [`Flat]; [`Flat_push]
+         keeps the cell-by-cell walk for differential testing. *)
 }
-
-(* Instructions separating the .op producer from bop in the emitted
-   dispatcher; decides Rop readiness for the fall-through policy. *)
-let rop_distance (spec : Spec.t) =
-  spec.dispatch.fetch_instrs - 1 + spec.dispatch.operand_decode_instrs
-
-let rop_ready exp =
-  match (Pipeline.config exp.pipeline).bop_policy with
-  | `Stall -> true (* the pipeline charges bubbles instead *)
-  | `Fall_through ->
-    rop_distance exp.spec >= (Pipeline.config exp.pipeline).rop_gap
 
 (* Drain the tape through the pipeline, in emission order, then reset it.
 
    Flush points are chosen so the total order of BTB operations is the same
    as if every event had been consumed at emission time: before every
-   {!Scd_core.Engine.bop}/{!Scd_core.Engine.jru} (the engine reads and
-   writes the shared BTB) and at the end of each bytecode. Under a
-   context-switch interval the engine's JTE flush lands after the exact
+   {!Scd_core.Engine.bop_target}/{!Scd_core.Engine.jru_code} (the engine
+   reads and writes the shared BTB) and at the end of each bytecode. Under
+   a context-switch interval the engine's JTE flush lands after the exact
    retired instruction it would with one-at-a-time consumption, through the
    pipeline's retire boundary, which splits run cells that cross it. The
    pipeline drains whatever the tape holds when the trap returns. *)
@@ -113,50 +102,43 @@ let flush exp =
 (* Every emit helper appends one 4-int cell; a payload word the tag does
    not define is [0] for arg1 and [-1] for arg2. *)
 
-let emit_mem exp ~dispatch ~sets_rop ~write pc ~addr =
+let emit_mem tape ~dispatch ~sets_rop ~write pc ~addr =
   let flags =
     (if write then Event.tag_mem_write else Event.tag_mem_read)
     lor (if dispatch then Event.flag_dispatch else 0)
     lor if sets_rop then Event.flag_sets_rop else 0
   in
-  Event.tape_push exp.tape ~pc ~flags ~arg1:addr ~arg2:(-1)
+  Event.tape_push tape ~pc ~flags ~arg1:addr ~arg2:(-1)
 
-let emit_cond_branch exp ~dispatch pc ~taken ~target =
+let emit_cond_branch tape ~dispatch pc ~taken ~target =
   let flags =
     Event.tag_cond_branch
     lor (if dispatch then Event.flag_dispatch else 0)
     lor if taken then Event.flag_taken else 0
   in
-  Event.tape_push exp.tape ~pc ~flags ~arg1:target ~arg2:(-1)
+  Event.tape_push tape ~pc ~flags ~arg1:target ~arg2:(-1)
 
-let emit_jump exp pc ~target =
-  Event.tape_push exp.tape ~pc ~flags:Event.tag_jump ~arg1:target ~arg2:(-1)
-
-(* [hint = -1] means no compiler hint (non-VBBI schemes). *)
-let emit_ind_jump exp ~dispatch pc ~target ~hint =
-  let flags =
-    Event.tag_ind_jump lor if dispatch then Event.flag_dispatch else 0
-  in
-  Event.tape_push exp.tape ~pc ~flags ~arg1:target ~arg2:hint
+let emit_jump tape pc ~target =
+  Event.tape_push tape ~pc ~flags:Event.tag_jump ~arg1:target ~arg2:(-1)
 
 (* All simulated runtime-helper calls are direct. [link] is the
    architectural return address; calls sit in handler code, so it is
    [pc + step] for the emission stride, not a hardcoded [pc + 4]. *)
-let emit_call exp pc ~target ~link =
-  Event.tape_push exp.tape ~pc ~flags:Event.tag_call ~arg1:target ~arg2:link
+let emit_call tape pc ~target ~link =
+  Event.tape_push tape ~pc ~flags:Event.tag_call ~arg1:target ~arg2:link
 
-let emit_return exp pc ~target =
-  Event.tape_push exp.tape ~pc ~flags:Event.tag_return ~arg1:target ~arg2:(-1)
+let emit_return tape pc ~target =
+  Event.tape_push tape ~pc ~flags:Event.tag_return ~arg1:target ~arg2:(-1)
 
-let emit_bop exp pc ~opcode ~hit ~target =
+let emit_bop tape pc ~opcode ~hit ~target =
   let flags =
     Event.tag_bop lor Event.flag_dispatch
     lor if hit then Event.flag_hit else 0
   in
-  Event.tape_push exp.tape ~pc ~flags ~arg1:target ~arg2:opcode
+  Event.tape_push tape ~pc ~flags ~arg1:target ~arg2:opcode
 
-let emit_jru exp pc ~opcode ~target =
-  Event.tape_push exp.tape ~pc
+let emit_jru tape pc ~opcode ~target =
+  Event.tape_push tape ~pc
     ~flags:(Event.tag_jru lor Event.flag_dispatch)
     ~arg1:target ~arg2:opcode
 
@@ -168,145 +150,176 @@ let emit_plain_run exp ~dispatch ~step n =
     exp.epc <- exp.epc + (n * step)
   end
 
-(* Emit [n] dispatcher instructions starting at the cursor, the first being
-   a VM-state load and the last (optionally) a VM-state store. *)
-let emit_vm_bookkeeping exp ~step n ~store_last =
-  let vm_state = Layout.vm_state_addr exp.layout in
-  if n > 0 then begin
-    emit_mem exp ~dispatch:true ~sets_rop:false ~write:false exp.epc
-      ~addr:vm_state;
-    exp.epc <- exp.epc + step;
-    let store = store_last && n > 1 in
-    emit_plain_run exp ~dispatch:true ~step (n - 1 - if store then 1 else 0);
-    if store then begin
-      emit_mem exp ~dispatch:true ~sets_rop:false ~write:true exp.epc
-        ~addr:vm_state;
-      exp.epc <- exp.epc + step
-    end
-  end
+(* Instructions [lo, hi) of dispatcher [d], instruction [i] at
+   [base + i * step], reaching the handler of [opcode] for the bytecode at
+   [fetch_addr]: one dispatch cell per instruction, consecutive plain
+   instructions merged into one run cell. The [bop] and the [jru] carry
+   engine decisions, so the caller pushes those. Returns the tape word
+   holding the fetch address ([-1] when the slice has no fetch): the only
+   run-dependent word of a dispatcher, which the template builder records
+   as the stamp's patch offset. *)
+let walk_dispatcher tape layout (d : Dispatcher.t) ~base ~step ~lo ~hi
+    ~opcode ~fetch_addr ~hint =
+  let fetch_word = ref (-1) in
+  for i = lo to hi - 1 do
+    let pc = base + (i * step) in
+    let push ?(arg2 = -1) tag arg1 =
+      Event.tape_push tape ~pc ~flags:(tag lor Event.flag_dispatch) ~arg1 ~arg2
+    in
+    match (d.roles.(i), d.instrs.(i)) with
+    | Plain, _ ->
+      Event.tape_push_run tape ~pc ~dispatch:true ~count:1 ~stride:step
+    | Vm_load, _ -> push Event.tag_mem_read (Layout.vm_state_addr layout)
+    | Vm_store, _ -> push Event.tag_mem_write (Layout.vm_state_addr layout)
+    | Fetch, instr ->
+      fetch_word := Event.tape_extent tape + 2;
+      let sets_rop =
+        match instr with Load { op_suffix; _ } -> op_suffix | _ -> false
+      in
+      push
+        (Event.tag_mem_read lor if sets_rop then Event.flag_sets_rop else 0)
+        fetch_addr
+    | Bound_check, _ ->
+      push Event.tag_cond_branch (Layout.default_handler layout)
+    | Jt_load, _ ->
+      push Event.tag_mem_read (Layout.jump_table_entry layout opcode)
+    | Jump, Jalr _ ->
+      push Event.tag_ind_jump (Layout.handler_entry layout opcode) ~arg2:hint
+    | (Jump | Bop), _ ->
+      invalid_arg "Driver.walk_dispatcher: bop and jru carry engine decisions"
+  done;
+  !fetch_word
 
-let emit_plain_dispatch exp ~step n = emit_plain_run exp ~dispatch:true ~step n
+(* Which dispatcher fetches the next bytecode: the one place the driver
+   chooses. [replica] is the jump-threading replica at the previous
+   handler's tail; otherwise the result is the {!Layout.site_index} of the
+   site block the previous handler's tail jumps to (the common site before
+   the first bytecode, for every scheme). *)
+let replica = -1
 
-(* The tail of the slow/baseline dispatcher: opcode decode, bound check,
-   jump-table target computation. Returns with the cursor at the jump
-   slot. *)
-let emit_decode_to_target exp ~step ~opcode =
-  let d = exp.spec.dispatch in
-  emit_plain_dispatch exp ~step d.decode_instrs;
-  (* bound check: compare + never-taken branch to the error arm *)
-  emit_plain_dispatch exp ~step (Int.max 0 (d.bound_check_instrs - 1));
-  emit_cond_branch exp ~dispatch:true exp.epc ~taken:false
-    ~target:(Layout.default_handler exp.layout);
-  exp.epc <- exp.epc + step;
-  (* target calculation, ending with the jump-table load *)
-  emit_plain_dispatch exp ~step (Int.max 0 (d.target_calc_instrs - 1));
-  emit_mem exp ~dispatch:true ~sets_rop:false ~write:false exp.epc
-    ~addr:(Layout.jump_table_entry exp.layout opcode);
-  exp.epc <- exp.epc + step
+let dispatch_site exp =
+  if exp.prev_opcode < 0 then 0
+  else
+    match exp.scheme with
+    | Scd_core.Scheme.Jump_threading -> replica
+    | Baseline | Vbbi | Scd ->
+      Layout.site_index (Layout.site_of_opcode exp.layout exp.prev_opcode)
 
-(* The dispatcher prefix shared by every scheme: loop book-keeping (common
-   site only), bytecode fetch, operand decode. Returns the absolute tape
-   word holding the fetch address — the only run-dependent word of the
-   sequence, which is what the template builder records as the stamp's
-   patch offset. *)
-let emit_dispatch_prefix exp ~step ~overhead ~fetch_addr =
-  let d = exp.spec.dispatch in
-  if overhead then
-    emit_vm_bookkeeping exp ~step d.loop_overhead_instrs ~store_last:false;
-  (* fetch: load vm.pc, load the bytecode, bump, store vm.pc *)
-  let vm_state = Layout.vm_state_addr exp.layout in
-  emit_mem exp ~dispatch:true ~sets_rop:false ~write:false exp.epc
-    ~addr:vm_state;
-  exp.epc <- exp.epc + step;
-  let scd = exp.scheme = Scd_core.Scheme.Scd in
-  let fetch_word = Event.tape_extent exp.tape + 2 in
-  emit_mem exp ~dispatch:true ~sets_rop:scd ~write:false exp.epc
-    ~addr:fetch_addr;
-  exp.epc <- exp.epc + step;
-  emit_plain_dispatch exp ~step (Int.max 0 (d.fetch_instrs - 3));
-  emit_mem exp ~dispatch:true ~sets_rop:false ~write:true exp.epc
-    ~addr:vm_state;
-  exp.epc <- exp.epc + step;
-  emit_plain_dispatch exp ~step d.operand_decode_instrs;
-  fetch_word
+let sites = [| Layout.Common_site; Layout.Call_site; Layout.Branch_site |]
 
 (* Section IV: with multiple tables each dispatch site has its own Rbop-pc
    register; with one table the sites share it and thrash. *)
-let scd_table exp ~site = if exp.multi_table then Layout.site_index site else 0
+let scd_table exp si = if exp.multi_table then si else 0
 
-(* The SCD short-circuit query at the bop. The engine reads the shared
+(* The SCD bop at [bop_pc] for dispatch site [si]: query the engine, push
+   the bop cell and answer whether it hit. The engine reads the shared
    BTB, so pending events are drained first: the architecturally-visible
-   operation order matches per-event consumption. *)
-let scd_bop_query exp ~table ~bop_pc ~opcode =
+   operation order matches per-event consumption. On a miss the caller
+   emits the slow path up to the jru slot, then {!scd_finish_miss}. *)
+let scd_bop exp ~si ~bop_pc ~opcode =
+  let table = scd_table exp si in
   let same_site = exp.last_bop_pcs.(table) = bop_pc in
   exp.last_bop_pcs.(table) <- bop_pc;
-  let ready = rop_ready exp in
   flush exp;
   (* Table I: a hit needs Rbop-pc == PC as well as a valid JTE. *)
-  if same_site && ready then
-    Scd_core.Engine.bop_target exp.engine ~table ~opcode
-  else Scd_core.Engine.no_target
+  let target =
+    if same_site && exp.rop_ready then
+      Scd_core.Engine.bop_target exp.engine ~table ~opcode
+    else Scd_core.Engine.no_target
+  in
+  let hit = target <> Scd_core.Engine.no_target in
+  (* a miss falls through: site blocks are compact 4-byte code *)
+  emit_bop exp.tape bop_pc ~opcode ~hit
+    ~target:(if hit then target else bop_pc + 4);
+  hit
 
-(* The end of the SCD miss arm, with the cursor at the jru slot: the
-   JTE-inserting indirect jump to the handler. *)
-let scd_finish_miss exp ~table ~opcode ~handler =
-  flush exp;
-  Scd_core.Engine.jru_code exp.engine ~table ~opcode ~target:handler;
-  emit_jru exp exp.epc ~opcode ~target:handler
-
-(* Dispatch reaching the handler of [opcode] for the bytecode at
-   [fetch_addr], cell by cell. [base] is where this dispatcher's code
-   lives; [overhead] states whether the loop book-keeping prefix is present
-   (common site only). Returns the tape word of the fetch address so the
-   template builder can reuse this exact emission. *)
-let emit_dispatch exp ~base ~step ~overhead ~site ~opcode ~fetch_addr =
-  exp.epc <- base;
-  let fetch_word = emit_dispatch_prefix exp ~step ~overhead ~fetch_addr in
+(* The end of the SCD miss arm: the JTE-inserting indirect jump at
+   [jru_pc] to the handler. *)
+let scd_finish_miss exp ~si ~jru_pc ~opcode =
   let handler = Layout.handler_entry exp.layout opcode in
-  (match exp.scheme with
-   | Scd ->
-     let bop_pc = exp.epc in
-     let table = scd_table exp ~site in
-     let target = scd_bop_query exp ~table ~bop_pc ~opcode in
-     if target <> Scd_core.Engine.no_target then
-       emit_bop exp bop_pc ~opcode ~hit:true ~target
-     else begin
-       emit_bop exp bop_pc ~opcode ~hit:false ~target:(bop_pc + step);
-       exp.epc <- bop_pc + step;
-       emit_decode_to_target exp ~step ~opcode;
-       scd_finish_miss exp ~table ~opcode ~handler
-     end
-   | Baseline | Jump_threading | Vbbi ->
-     emit_decode_to_target exp ~step ~opcode;
-     let hint = match exp.scheme with Vbbi -> opcode | _ -> -1 in
-     emit_ind_jump exp ~dispatch:true exp.epc ~target:handler ~hint);
-  fetch_word
+  flush exp;
+  Scd_core.Engine.jru_code exp.engine ~table:(scd_table exp si) ~opcode
+    ~target:handler;
+  emit_jru exp.tape jru_pc ~opcode ~target:handler
+
+let vbbi_hint scheme opcode =
+  match (scheme : Scd_core.Scheme.t) with
+  | Vbbi -> opcode
+  | Baseline | Jump_threading | Scd -> -1
+
+(* Cell-by-cell dispatch emission, walking the dispatcher itself (no
+   templates: the [`Flat_push] test reference). *)
+let push_dispatch exp ~opcode ~fetch_addr =
+  let si = dispatch_site exp in
+  let walk d ~base ~step ~lo ~hi =
+    ignore
+      (walk_dispatcher exp.tape exp.layout d ~base ~step ~lo ~hi ~opcode
+         ~fetch_addr ~hint:(vbbi_hint exp.scheme opcode)
+        : int)
+  in
+  if si = replica then
+    (* a replica is inlined C inside the handler: handler stride *)
+    let d = Dispatcher.get exp.spec exp.scheme ~overhead:false in
+    walk d ~base:(Layout.handler_tail exp.layout exp.prev_opcode)
+      ~step:Layout.hot_stride ~lo:0 ~hi:(Dispatcher.length d)
+  else
+    let d = Dispatcher.get exp.spec exp.scheme ~overhead:(si = 0) in
+    let base = Layout.site_base exp.layout sites.(si) in
+    let last = Dispatcher.length d - 1 in
+    if d.bop < 0 then walk d ~base ~step:4 ~lo:0 ~hi:(last + 1)
+    else begin
+      walk d ~base ~step:4 ~lo:0 ~hi:d.bop;
+      if not (scd_bop exp ~si ~bop_pc:(base + (4 * d.bop)) ~opcode) then begin
+        walk d ~base ~step:4 ~lo:(d.bop + 1) ~hi:last;
+        scd_finish_miss exp ~si ~jru_pc:(base + (4 * last)) ~opcode
+      end
+    end
+
+(* Template-stamped dispatch: one blit plus a fetch-address patch replaces
+   the cell-by-cell walk. Under SCD only the prefix (and, on a miss, the
+   decode sequence) is precompiled — the bop and jru cells carry engine
+   decisions made at trace time and stay runtime-pushed, exactly as on the
+   cell-by-cell path. *)
+let stamp_dispatch exp (ts : Template.set) ~opcode ~fetch_addr =
+  let si = dispatch_site exp in
+  if si = replica then
+    Template.stamp_replica exp.tape
+      ts.Template.replica.(opcode)
+      ~base_pc:(Layout.handler_tail exp.layout exp.prev_opcode)
+      ~fetch_addr
+  else begin
+    let t = ts.Template.dispatch.(si).(opcode) in
+    Template.stamp_dispatch exp.tape t ~fetch_addr;
+    match exp.scheme with
+    | Scd ->
+      if not (scd_bop exp ~si ~bop_pc:t.Template.end_pc ~opcode) then begin
+        (* the miss template resumes at the bop fall-through and ends at
+           the jru slot *)
+        let miss = ts.Template.scd_miss.(si).(opcode) in
+        Template.stamp exp.tape miss;
+        scd_finish_miss exp ~si ~jru_pc:miss.Template.end_pc ~opcode
+      end
+    | Baseline | Jump_threading | Vbbi -> ()
+  end
 
 (* Runtime helper / builtin library call appended to a handler body, cell
-   by cell, to the blob [b] laid out at [target]. The call is a handler
-   instruction emitted at [step] (= the handler's hot stride), so the
-   return lands [step] bytes past it — where the layout places the tail
-   region; the call cell carries that link so the RAS push matches the
-   return target. *)
-let emit_blob_cells exp ~step ~target (b : Spec.rt_blob) =
-  let return_to = exp.epc + step in
-  emit_call exp exp.epc ~target ~link:return_to;
-  exp.epc <- target;
-  (* The body is a fixed pattern: [load_every - 1] plain instructions then
-     one load, repeated, with a trailing plain run. *)
-  let mems = b.body_instrs / b.load_every in
-  for m = 0 to mems - 1 do
-    emit_plain_run exp ~dispatch:false ~step:Layout.hot_stride
-      (b.load_every - 1);
-    (* helper-internal data traffic lands near the VM stack top *)
-    let k = ((m + 1) * b.load_every) - 1 in
-    emit_mem exp ~dispatch:false ~sets_rop:false ~write:false exp.epc
-      ~addr:(Layout.stack_slot_addr exp.layout (k land 31));
-    exp.epc <- exp.epc + Layout.hot_stride
+   by cell: the call at [pc] to the blob [b] laid out at [target]. The call
+   is a handler instruction, so the return lands [hot_stride] bytes past
+   it — where the layout places the tail region; the call cell carries
+   that link so the RAS push matches the return target. Every
+   [load_every]-th body instruction is a load near the VM stack top, the
+   rest are plain. *)
+let emit_blob_cells tape layout ~pc ~target (b : Spec.rt_blob) =
+  let step = Layout.hot_stride in
+  emit_call tape pc ~target ~link:(pc + step);
+  for k = 0 to b.body_instrs - 1 do
+    let at = target + (k * step) in
+    if (k + 1) mod b.load_every = 0 then
+      emit_mem tape ~dispatch:false ~sets_rop:false ~write:false at
+        ~addr:(Layout.stack_slot_addr layout (k land 31))
+    else Event.tape_push_run tape ~pc:at ~dispatch:false ~count:1 ~stride:step
   done;
-  emit_plain_run exp ~dispatch:false ~step:Layout.hot_stride
-    (b.body_instrs - (mems * b.load_every));
-  emit_return exp exp.epc ~target:return_to
+  emit_return tape (target + (b.body_instrs * step)) ~target:(pc + step)
 
 (* Helper-call emission, for the helper at index [i] of [spec.blobs] or
    for builtin [i]: one stamp plus three patched call-site words when
@@ -321,14 +334,15 @@ let emit_vm_blob exp ~step i =
   match exp.templates with
   | Some ts -> stamp_blob exp ~step ts.Template.blobs.(i)
   | None ->
-    emit_blob_cells exp ~step ~target:(Layout.blob_entry exp.layout i)
-      exp.spec.blobs.(i)
+    emit_blob_cells exp.tape exp.layout ~pc:exp.epc
+      ~target:(Layout.blob_entry exp.layout i) exp.spec.blobs.(i)
 
 let emit_builtin exp ~step i =
   match exp.templates with
   | Some ts -> stamp_blob exp ~step ts.Template.builtins.(i)
   | None ->
-    emit_blob_cells exp ~step ~target:(Layout.builtin_entry exp.layout i)
+    emit_blob_cells exp.tape exp.layout ~pc:exp.epc
+      ~target:(Layout.builtin_entry exp.layout i)
       (Layout.builtin_blob exp.layout i)
 
 (* Handler body for one bytecode event. *)
@@ -349,14 +363,14 @@ let emit_handler exp (tr : Trace.t) =
       Layout.access_addr_flat exp.layout ~kind:(Trace.access_kind tr k)
         ~a:(Trace.access_a tr k) ~b:(Trace.access_b tr k)
     in
-    emit_mem exp ~dispatch:false ~sets_rop:false
+    emit_mem exp.tape ~dispatch:false ~sets_rop:false
       ~write:(Trace.access_write tr k) exp.epc ~addr;
     exp.epc <- exp.epc + Layout.hot_stride
   done;
   emit_plain_run exp ~dispatch:false ~step:Layout.hot_stride (slots - mems);
   if spec_handler.ctrl_branch then begin
     let taken = tr.ctrl_kind = Trace.ctrl_branch && tr.ctrl_taken in
-    emit_cond_branch exp ~dispatch:false exp.epc ~taken
+    emit_cond_branch exp.tape ~dispatch:false exp.epc ~taken
       ~target:(exp.epc + (2 * Layout.hot_stride));
     exp.epc <- exp.epc + Layout.hot_stride
   end;
@@ -372,86 +386,8 @@ let emit_tail exp opcode =
   match exp.scheme with
   | Scd_core.Scheme.Jump_threading -> () (* the replica is this handler's own dispatcher *)
   | _ ->
-    emit_jump exp (Layout.handler_tail exp.layout opcode)
+    emit_jump exp.tape (Layout.handler_tail exp.layout opcode)
       ~target:(Layout.tail_target exp.layout opcode)
-
-(* The dispatch site that fetches the next bytecode: the handler tail of
-   the previous opcode selects it (common site before the first). *)
-let dispatch_site exp =
-  if exp.prev_opcode < 0 then Layout.Common_site
-  else Layout.site_of_opcode exp.layout exp.prev_opcode
-
-(* Cell-by-cell dispatch emission (no templates: the [`Flat_push] test
-   reference). *)
-let push_dispatch exp ~opcode ~fetch_addr =
-  match exp.scheme with
-  | Scd_core.Scheme.Jump_threading ->
-    if exp.prev_opcode < 0 then
-      ignore
-        (emit_dispatch exp
-           ~base:(Layout.site_base exp.layout Layout.Common_site)
-           ~step:4 ~overhead:true ~site:Layout.Common_site ~opcode
-           ~fetch_addr
-          : int)
-    else
-      (* a replica is inlined C inside the handler: handler stride *)
-      ignore
-        (emit_dispatch exp
-           ~base:(Layout.handler_tail exp.layout exp.prev_opcode)
-           ~step:Layout.hot_stride ~overhead:false ~site:Layout.Common_site
-           ~opcode ~fetch_addr
-          : int)
-  | _ ->
-    let site = dispatch_site exp in
-    ignore
-      (emit_dispatch exp
-         ~base:(Layout.site_base exp.layout site)
-         ~step:4 ~overhead:(site = Layout.Common_site) ~site ~opcode
-         ~fetch_addr
-        : int)
-
-(* Template-stamped dispatch: one blit plus a fetch-address patch replaces
-   the cell-by-cell derivation. Under SCD only the prefix (and, on a miss,
-   the decode sequence) is precompiled — the bop and jru cells carry
-   engine decisions made at trace time and stay runtime-pushed, exactly as
-   on the cell-by-cell path. *)
-let stamp_dispatch exp (ts : Template.set) ~opcode ~fetch_addr =
-  match exp.scheme with
-  | Scd_core.Scheme.Jump_threading ->
-    if exp.prev_opcode < 0 then
-      Template.stamp_dispatch exp.tape
-        ts.Template.dispatch.(0).(opcode)
-        ~fetch_addr
-    else
-      Template.stamp_replica exp.tape
-        ts.Template.replica.(opcode)
-        ~base_pc:(Layout.handler_tail exp.layout exp.prev_opcode)
-        ~fetch_addr
-  | Baseline | Vbbi ->
-    let si = Layout.site_index (dispatch_site exp) in
-    Template.stamp_dispatch exp.tape
-      ts.Template.dispatch.(si).(opcode)
-      ~fetch_addr
-  | Scd ->
-    let site = dispatch_site exp in
-    let si = Layout.site_index site in
-    let pre = ts.Template.scd_prefix.(si) in
-    Template.stamp_dispatch exp.tape pre ~fetch_addr;
-    let bop_pc = pre.Template.end_pc in
-    let table = scd_table exp ~site in
-    let target = scd_bop_query exp ~table ~bop_pc ~opcode in
-    let handler = Layout.handler_entry exp.layout opcode in
-    if target <> Scd_core.Engine.no_target then
-      emit_bop exp bop_pc ~opcode ~hit:true ~target
-    else begin
-      (* site blocks are compact 4-byte code; the miss template resumes
-         at the bop fall-through and ends at the jru slot *)
-      emit_bop exp bop_pc ~opcode ~hit:false ~target:(bop_pc + 4);
-      let miss = ts.Template.scd_miss.(si).(opcode) in
-      Template.stamp exp.tape miss;
-      exp.epc <- miss.Template.end_pc;
-      scd_finish_miss exp ~table ~opcode ~handler
-    end
 
 let on_bytecode exp (tr : Trace.t) =
   exp.bytecodes <- exp.bytecodes + 1;
@@ -479,14 +415,8 @@ let on_bytecode_observed exp tel (tr : Trace.t) =
   let cycles0 = stats.Stats.cycles in
   let instructions0 = stats.Stats.instructions in
   let mispredicts0 = Stats.total_mispredicts stats in
-  let site =
-    (* mirrors the site selection in [on_bytecode] *)
-    match exp.scheme with
-    | Scd_core.Scheme.Jump_threading -> 0
-    | _ ->
-      if exp.prev_opcode < 0 then 0
-      else Layout.site_index (Layout.site_of_opcode exp.layout exp.prev_opcode)
-  in
+  (* jump-threading replicas are attributed to the common site *)
+  let site = Int.max 0 (dispatch_site exp) in
   on_bytecode exp tr;
   Telemetry.note_bytecode tel ~site ~opcode:tr.opcode
     ~cycles:(stats.Stats.cycles - cycles0)
@@ -501,83 +431,63 @@ let trace_callback exp = function
 (* Template building                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Build one scheme's template set by running the cell-by-cell emitters
-   into a scratch expander and snapshotting the tape after each sequence —
-   the templates are, by construction, the exact cells the push path would
-   emit (the differential tests compare the two word-for-word). Code
-   addresses depend only on (spec, scheme), so {!Template.find_or_build}
-   memoizes the result process-wide; the builder runs once per key. *)
-let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
-  let b =
-    {
-      layout;
-      spec;
-      scheme;
-      pipeline;
-      engine;
-      stride = 1 (* never used: the builder sees no bytecode fetches *);
-      multi_table = false;
-      prev_opcode = -1;
-      last_bop_pcs = Array.make 3 (-1);
-      bytecodes = 0;
-      epc = 0;
-      tape = Event.tape_create ~capacity:256 ();
-      trap = None;
-      templates = None (* the builder itself emits cell by cell *);
-    }
-  in
+(* Build one scheme's template set by walking the dispatcher onto an empty
+   tape and snapshotting it after each sequence — the templates are, by
+   construction, the exact cells the cell-by-cell path walks (the
+   differential tests compare the two word-for-word). Code addresses
+   depend only on (spec, scheme), so {!Template.find_or_build} memoizes the
+   result process-wide; the builder runs once per key. *)
+let build_templates ~layout ~(spec : Spec.t) ~scheme =
+  let tape = Event.tape_create ~capacity:256 () in
   let snap () =
-    let cells = Event.tape_snapshot b.tape ~from:0 in
-    Event.tape_clear b.tape;
+    let cells = Event.tape_snapshot tape ~from:0 in
+    Event.tape_clear tape;
     cells
   in
+  let template ?end_pc d ~base ~step ~lo ~hi ~opcode =
+    let fetch_patch =
+      walk_dispatcher tape layout d ~base ~step ~lo ~hi ~opcode ~fetch_addr:0
+        ~hint:(vbbi_hint scheme opcode)
+    in
+    Template.make ~fetch_patch ?end_pc (snap ())
+  in
   let n = spec.num_opcodes in
-  let sites = [| Layout.Common_site; Layout.Call_site; Layout.Branch_site |] in
-  let none = [||] in
-  let dispatch = Array.make 3 none in
-  let scd_prefix = Array.make 3 Template.empty in
-  let scd_miss = Array.make 3 none in
-  let scd = scheme = Scd_core.Scheme.Scd in
+  let dispatch = Array.make 3 [||] and scd_miss = Array.make 3 [||] in
   Array.iteri
     (fun si site ->
       let base = Layout.site_base layout site in
-      let overhead = site = Layout.Common_site in
-      if scd then begin
-        b.epc <- base;
-        let fp = emit_dispatch_prefix b ~step:4 ~overhead ~fetch_addr:0 in
-        let bop_pc = b.epc in
-        scd_prefix.(si) <-
-          Template.make ~fetch_patch:fp ~end_pc:bop_pc (snap ());
-        scd_miss.(si) <-
-          Array.init n (fun opcode ->
-              b.epc <- bop_pc + 4;
-              emit_decode_to_target b ~step:4 ~opcode;
-              Template.make ~end_pc:b.epc (snap ()))
-      end
-      else
+      let d = Dispatcher.get spec scheme ~overhead:(si = 0) in
+      let last = Dispatcher.length d - 1 in
+      if d.bop < 0 then
         dispatch.(si) <-
           Array.init n (fun opcode ->
-              let fp =
-                emit_dispatch b ~base ~step:4 ~overhead ~site ~opcode
-                  ~fetch_addr:0
-              in
-              Template.make ~fetch_patch:fp (snap ())))
+              template d ~base ~step:4 ~lo:0 ~hi:(last + 1) ~opcode)
+      else begin
+        let prefix =
+          template d ~base ~step:4 ~lo:0 ~hi:d.bop ~opcode:0
+            ~end_pc:(base + (4 * d.bop))
+        in
+        dispatch.(si) <- Array.make n prefix;
+        scd_miss.(si) <-
+          Array.init n (fun opcode ->
+              template d ~base ~step:4 ~lo:(d.bop + 1) ~hi:last ~opcode
+                ~end_pc:(base + (4 * last)))
+      end)
     sites;
   let replica =
-    if scheme = Scd_core.Scheme.Jump_threading then
+    match (scheme : Scd_core.Scheme.t) with
+    | Jump_threading ->
       (* Base-relative: stamped at the previous handler's tail, so cell PCs
          are offsets from 0 and relocated at stamp time. *)
+      let d = Dispatcher.get spec scheme ~overhead:false in
       Array.init n (fun opcode ->
-          let fp =
-            emit_dispatch b ~base:0 ~step:Layout.hot_stride ~overhead:false
-              ~site:Layout.Common_site ~opcode ~fetch_addr:0
-          in
-          Template.make ~fetch_patch:fp (snap ()))
-    else [||]
+          template d ~base:0 ~step:Layout.hot_stride ~lo:0
+            ~hi:(Dispatcher.length d) ~opcode)
+    | Baseline | Vbbi | Scd -> [||]
   in
-  let blob ~target (blob : Spec.rt_blob) =
-    b.epc <- 0 (* the call-site words are patched at stamp time *);
-    emit_blob_cells b ~step:Layout.hot_stride ~target blob;
+  (* the call-site words are patched at stamp time *)
+  let blob ~target b =
+    emit_blob_cells tape layout ~pc:0 ~target b;
     Template.make (snap ())
   in
   let blobs =
@@ -590,7 +500,7 @@ let build_templates ~layout ~(spec : Spec.t) ~scheme ~pipeline ~engine =
         blob ~target:(Layout.builtin_entry layout i)
           (Layout.builtin_blob layout i))
   in
-  { Template.dispatch; replica; scd_prefix; scd_miss; blobs; builtins }
+  { Template.dispatch; replica; scd_miss; blobs; builtins }
 
 (* ------------------------------------------------------------------ *)
 
@@ -653,11 +563,10 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
       Some
         (Scd_obs.Prof.span "templates" (fun () ->
              Template.find_or_build ~spec ~scheme:config.scheme (fun () ->
-                 build_templates ~layout ~spec ~scheme:config.scheme ~pipeline
-                   ~engine)))
+                 build_templates ~layout ~spec ~scheme:config.scheme)))
     | `Flat_push ->
-      (* the test-only reference: the template builder's own cell-by-cell
-         emitters, compared word for word against the stamps *)
+      (* the test-only reference: the template builder's own walk of the
+         dispatcher, compared word for word against the stamps *)
       None
   in
   let exp =
@@ -669,6 +578,13 @@ let run ?telemetry ?(event_path = `Flat) ?tape_trap config ~source =
       engine;
       stride = F.stride;
       multi_table = config.multi_table;
+      rop_ready =
+        (match config.machine.bop_policy with
+         | `Stall -> true (* the pipeline charges bubbles instead *)
+         | `Fall_through ->
+           Dispatcher.rop_gap
+             (Dispatcher.get spec config.scheme ~overhead:true)
+           >= config.machine.rop_gap);
       prev_opcode = -1;
       last_bop_pcs = Array.make 3 (-1);
       bytecodes = 0;

@@ -93,10 +93,10 @@ val run :
     valid for the duration of the callback.
 
     [event_path] is a test-only switch. [`Flat] (the default) stamps
-    templates; [`Flat_push] derives every cell through the cell-by-cell
-    emitters the templates are built from. It is the only check on the
-    stamps' patch words: the differential tests compare the two tapes word
-    for word.
+    templates; [`Flat_push] walks the {!Scd_codegen.Dispatcher} cell by
+    cell for every bytecode, as the template builder does once. It is the
+    only check on the stamps' patch words: the differential tests compare
+    the two tapes word for word.
 
     [telemetry], when given, is attached for the duration of the run: the
     pipeline probe samples interval time series, and every bytecode's

@@ -12,7 +12,7 @@ type entry = { name : string; minor_words_per_run : float }
    commit. Counts are for OCaml 5.1.1, 64-bit, the release build (the dev
    profile's -opaque boxes values across modules and counts more).
 
-   Measured 2026-10-17. *)
+   Measured 2026-10-19. *)
 let table =
   [
     (* the allocation-free tape hot path, probe off and on, and over
@@ -25,9 +25,10 @@ let table =
        log) and is pinned so probe cost cannot creep *)
     { name = "prof-span-off-1k"; minor_words_per_run = 0.0 };
     { name = "prof-span-on-1k"; minor_words_per_run = 107002.0 };
-    (* each run builds a fresh BTB (and engine) *)
+    (* each run builds a fresh BTB (and engine); the engine micro drives
+       the allocation-free bop_target/jru_code the driver calls *)
     { name = "btb-lookup-insert-1k"; minor_words_per_run = 3054.0 };
-    { name = "engine-bop-1k"; minor_words_per_run = 3192.0 };
+    { name = "engine-bop-1k"; minor_words_per_run = 1192.0 };
     (* one VM state reused across runs (reset per run) *)
     { name = "rvm-fib12"; minor_words_per_run = 54149.0 };
     { name = "svm-fib12"; minor_words_per_run = 9000.0 };
@@ -39,10 +40,10 @@ let table =
     (* one full co-simulation per scheme: per-run setup (program compile,
        layout, result snapshot), not per-bytecode traffic; a 4-word record
        per bytecode would add ~6.4k words *)
-    { name = "cosim-fib10-baseline"; minor_words_per_run = 25720.0 };
-    { name = "cosim-fib10-jte"; minor_words_per_run = 25720.0 };
-    { name = "cosim-fib10-vbbi"; minor_words_per_run = 25720.0 };
-    { name = "cosim-fib10-scd"; minor_words_per_run = 25728.0 };
+    { name = "cosim-fib10-baseline"; minor_words_per_run = 25715.0 };
+    { name = "cosim-fib10-jte"; minor_words_per_run = 25715.0 };
+    { name = "cosim-fib10-vbbi"; minor_words_per_run = 25715.0 };
+    { name = "cosim-fib10-scd"; minor_words_per_run = 25723.0 };
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) table

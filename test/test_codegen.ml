@@ -12,23 +12,31 @@ let build ?(spec = Spec.rvm) ?(scheme = Scheme.Baseline) () =
 (* Spec invariants                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let len spec scheme = Dispatcher.length (Dispatcher.get spec scheme ~overhead:true)
+
 let test_dispatch_sizes_match_paper () =
   (* Section V quotes static loop sizes of 35 (Lua) and 29 (SpiderMonkey)
      native instructions; the executed per-iteration path modelled here is
      roughly half of each (the rest is cold/bound-check slack), and the
-     register VM's path must be the longer one. *)
-  check_int "lua executed dispatch" 17 (Spec.dispatch_total Spec.rvm.dispatch);
-  check_int "js executed dispatch" 15 (Spec.dispatch_total Spec.svm.dispatch);
+     register VM's path must be the longer one. SCD adds the bop. *)
+  check_int "lua executed dispatch" 17 (len Spec.rvm Scheme.Baseline);
+  check_int "js executed dispatch" 15 (len Spec.svm Scheme.Baseline);
+  check_int "lua scd miss path" 18 (len Spec.rvm Scheme.Scd);
+  check_int "js scd miss path" 16 (len Spec.svm Scheme.Scd);
   check_bool "lua longer than js" true
-    (Spec.dispatch_total Spec.rvm.dispatch > Spec.dispatch_total Spec.svm.dispatch)
+    (len Spec.rvm Scheme.Baseline > len Spec.svm Scheme.Baseline)
 
-let test_scd_removable_positive () =
+(* What a bop hit skips: the baseline path minus the hit path (everything
+   up to and including the bop). *)
+let test_scd_hit_skip_band () =
+  let removable spec =
+    let scd = Dispatcher.get spec Scheme.Scd ~overhead:true in
+    len spec Scheme.Baseline - (scd.bop + 1)
+  in
   check_bool "lua removable band" true
-    (Spec.scd_removable Spec.rvm.dispatch >= 5
-     && Spec.scd_removable Spec.rvm.dispatch <= 14);
+    (removable Spec.rvm >= 5 && removable Spec.rvm <= 14);
   check_bool "js removable band" true
-    (Spec.scd_removable Spec.svm.dispatch >= 5
-     && Spec.scd_removable Spec.svm.dispatch <= 14)
+    (removable Spec.svm >= 5 && removable Spec.svm <= 14)
 
 let test_profile_opcode_spaces () =
   check_int "plain rvm excludes fused handlers" 30 Spec.rvm.num_opcodes;
@@ -129,17 +137,22 @@ let test_bytecode_addresses_per_function () =
 
 let test_access_addresses_disjoint_regions () =
   let layout = build () in
-  let addr a = fst (Layout.access_addr layout a) in
-  let reg = addr (Scd_runtime.Trace.Reg { slot = 3; write = false }) in
-  let const = addr (Scd_runtime.Trace.Const { fn = 0; index = 2 }) in
-  let global = addr (Scd_runtime.Trace.Global { name_hash = 7; write = true }) in
-  let table = addr (Scd_runtime.Trace.Table_slot { id = 5; slot = 2; write = false }) in
-  let str = addr (Scd_runtime.Trace.Str_bytes { id_hash = 9; offset = 3 }) in
-  let sorted = List.sort compare [ reg; const; global; table; str ] in
+  let open Scd_runtime.Trace in
+  let tr = create () in
+  start tr ~fn:0 ~pc:0 ~opcode:0;
+  add_reg tr ~slot:3 ~write:false;
+  add_const tr ~fn:0 ~index:2;
+  add_global tr ~name_hash:7 ~write:true;
+  add_table_slot tr ~id:5 ~slot:2 ~write:false;
+  add_str_bytes tr ~id_hash:9 ~offset:3;
+  let addr k =
+    Layout.access_addr_flat layout ~kind:(access_kind tr k) ~a:(access_a tr k)
+      ~b:(access_b tr k)
+  in
+  let sorted = List.sort compare (List.init 5 addr) in
   check_int "five distinct regions" 5 (List.length (List.sort_uniq compare sorted));
-  (* write flags propagate *)
-  check_bool "write flag" true
-    (snd (Layout.access_addr layout (Scd_runtime.Trace.Global { name_hash = 1; write = true })))
+  (* write flags travel beside the address *)
+  check_bool "write flag" true (access_write tr 2)
 
 let test_site_bases () =
   let rvm_layout = build () in
@@ -224,7 +237,7 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "dispatch sizes" `Quick test_dispatch_sizes_match_paper;
-          Alcotest.test_case "scd removable" `Quick test_scd_removable_positive;
+          Alcotest.test_case "scd removable" `Quick test_scd_hit_skip_band;
           Alcotest.test_case "profile opcode spaces" `Quick test_profile_opcode_spaces;
           Alcotest.test_case "handler coverage" `Quick test_every_opcode_has_a_handler;
           Alcotest.test_case "builtin blobs" `Quick test_builtin_blobs_cover_all_builtins;

@@ -31,46 +31,46 @@ let test_scheme_indirect () =
 
 let test_engine_miss_then_hit () =
   let engine = Engine.create (fresh_btb ()) in
-  check_bool "cold miss" true (Engine.bop engine ~opcode:5 = Engine.Miss);
-  Engine.jru engine ~opcode:(Some 5) ~target:0x1234;
-  check_bool "hit after jru" true (Engine.bop engine ~opcode:5 = Engine.Hit 0x1234)
+  check_int "cold miss" Engine.no_target (Engine.bop_target engine ~table:0 ~opcode:5);
+  Engine.jru_code engine ~table:0 ~opcode:5 ~target:0x1234;
+  check_int "hit after jru" 0x1234 (Engine.bop_target engine ~table:0 ~opcode:5)
 
 let test_engine_invalid_rop_jru_is_noop () =
   let engine = Engine.create (fresh_btb ()) in
-  Engine.jru engine ~opcode:None ~target:0x1234;
+  Engine.jru_code engine ~table:0 ~opcode:(-1) ~target:0x1234;
   check_int "nothing inserted" 0 (Engine.jte_population engine);
   check_int "no insert recorded" 0 (Engine.stats engine).jru_inserts
 
 let test_engine_flush () =
   let engine = Engine.create (fresh_btb ()) in
-  Engine.jru engine ~opcode:(Some 1) ~target:0x10;
-  Engine.jru engine ~opcode:(Some 2) ~target:0x20;
+  Engine.jru_code engine ~table:0 ~opcode:1 ~target:0x10;
+  Engine.jru_code engine ~table:0 ~opcode:2 ~target:0x20;
   Engine.jte_flush engine;
   check_int "flushed" 0 (Engine.jte_population engine);
-  check_bool "miss after flush" true (Engine.bop engine ~opcode:1 = Engine.Miss)
+  check_int "miss after flush" Engine.no_target (Engine.bop_target engine ~table:0 ~opcode:1)
 
 let test_engine_multiple_tables_isolated () =
   let engine = Engine.create ~tables:4 (fresh_btb ~entries:256 ()) in
-  Engine.jru ~table:0 engine ~opcode:(Some 7) ~target:0x100;
-  Engine.jru ~table:3 engine ~opcode:(Some 7) ~target:0x300;
-  check_bool "table 0" true (Engine.bop ~table:0 engine ~opcode:7 = Engine.Hit 0x100);
-  check_bool "table 3" true (Engine.bop ~table:3 engine ~opcode:7 = Engine.Hit 0x300);
-  check_bool "table 1 empty" true (Engine.bop ~table:1 engine ~opcode:7 = Engine.Miss)
+  Engine.jru_code engine ~table:0 ~opcode:7 ~target:0x100;
+  Engine.jru_code engine ~table:3 ~opcode:7 ~target:0x300;
+  check_int "table 0" 0x100 (Engine.bop_target engine ~table:0 ~opcode:7);
+  check_int "table 3" 0x300 (Engine.bop_target engine ~table:3 ~opcode:7);
+  check_int "table 1 empty" Engine.no_target (Engine.bop_target engine ~table:1 ~opcode:7)
 
 let test_engine_table_bounds () =
   let engine = Engine.create ~tables:2 (fresh_btb ()) in
   Alcotest.check_raises "out of range" (Invalid_argument "Engine: branch ID 2 out of range")
-    (fun () -> ignore (Engine.bop ~table:2 engine ~opcode:0))
+    (fun () -> ignore (Engine.bop_target engine ~table:2 ~opcode:0))
 
 let test_engine_opcode_bounds () =
   let engine = Engine.create (fresh_btb ()) in
   Alcotest.check_raises "opcode range"
     (Invalid_argument "Engine: opcode 1024 out of range") (fun () ->
-      ignore (Engine.bop engine ~opcode:1024))
+      ignore (Engine.bop_target engine ~table:0 ~opcode:1024))
 
 let test_engine_context_switch_flush () =
   let engine = Engine.create (fresh_btb ()) in
-  Engine.jru engine ~opcode:(Some 1) ~target:0x10;
+  Engine.jru_code engine ~table:0 ~opcode:1 ~target:0x10;
   check_int "resident before the switch" 1 (Engine.jte_population engine);
   Engine.context_switch engine;
   check_int "flushed by the switch" 0 (Engine.jte_population engine);
@@ -80,15 +80,15 @@ let test_engine_context_switch_flush () =
 let test_engine_respects_btb_cap () =
   let engine = Engine.create (fresh_btb ~entries:64 ~jte_cap:4 ()) in
   for opcode = 0 to 15 do
-    Engine.jru engine ~opcode:(Some opcode) ~target:(0x100 + opcode)
+    Engine.jru_code engine ~table:0 ~opcode ~target:(0x100 + opcode)
   done;
   check_bool "population bounded" true (Engine.jte_population engine <= 4)
 
 let test_engine_stats () =
   let engine = Engine.create (fresh_btb ()) in
-  ignore (Engine.bop engine ~opcode:1);
-  Engine.jru engine ~opcode:(Some 1) ~target:2;
-  ignore (Engine.bop engine ~opcode:1);
+  ignore (Engine.bop_target engine ~table:0 ~opcode:1);
+  Engine.jru_code engine ~table:0 ~opcode:1 ~target:2;
+  ignore (Engine.bop_target engine ~table:0 ~opcode:1);
   let s = Engine.stats engine in
   check_int "lookups" 2 s.bop_lookups;
   check_int "hits" 1 s.bop_hits;
@@ -112,12 +112,12 @@ let prop_engine_tables_never_collide =
       List.iter
         (fun (table, opcode) ->
           let target = 0x1000 + (table * 0x100) + opcode in
-          Engine.jru ~table engine ~opcode:(Some opcode) ~target;
+          Engine.jru_code engine ~table ~opcode ~target;
           Hashtbl.replace expected (table, opcode) target)
         pairs;
       Hashtbl.fold
         (fun (table, opcode) target acc ->
-          acc && Engine.bop ~table engine ~opcode = Engine.Hit target)
+          acc && Engine.bop_target engine ~table ~opcode = target)
         expected true)
 
 let () =

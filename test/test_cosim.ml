@@ -561,6 +561,187 @@ let test_templates_cover_every_blob () =
     [ ("lua", false, false); ("lua", true, false); ("lua", false, true);
       ("js", false, false) ]
 
+(* Grounding: the dispatcher every template is walked from is executable
+   ERV32 code, and executing it retires exactly the template cells. Each
+   (spec, scheme, site, opcode) dispatcher runs on [Exec ~tape] with r20
+   holding the VM-state address, r21 jump-table entry 0, and memory holding
+   the bytecode pointer, the opcode and the handler entry. Its cells must
+   equal the stamped templates word for word (plus the bop and jru cells
+   the driver pushes under SCD, on the miss path and then the hit path)
+   after three normalisations: [Exec] marks only bop and jru as dispatch
+   cells, retires plain instructions as one cell each, and gives an
+   indirect jump no hint, which VBBI's dispatch jump carries. Replicas run
+   at base 0 at 4 bytes per instruction: their PCs scale to the handler
+   stride. *)
+let test_dispatcher_executes_to_templates () =
+  let open Scd_isa in
+  let open Scd_codegen in
+  let compared = ref 0 in
+  let normalise ~scale ~hint raw =
+    let out = Event.tape_create () in
+    let w = Event.tape_words raw in
+    for c = 0 to Event.tape_cells raw - 1 do
+      let at k = w.((c * Event.cell_words) + k) in
+      let pc = at 0 * scale and flags = at 1 lor Event.flag_dispatch in
+      let tag = Event.tape_cell_tag raw c in
+      if tag = Event.tag_plain then
+        Event.tape_push_run out ~pc ~dispatch:true ~count:1 ~stride:(4 * scale)
+      else
+        Event.tape_push out ~pc ~flags ~arg1:(at 2)
+          ~arg2:(if tag = Event.tag_ind_jump then hint else at 3)
+    done;
+    Event.tape_snapshot out ~from:0
+  in
+  List.iter
+    (fun (vm, superinstructions, bytecode_replication) ->
+      let frontend = Frontend.get vm in
+      let (module F : Frontend.S) = frontend in
+      let spec = F.spec { Frontend.superinstructions; bytecode_replication } in
+      List.iter
+        (fun scheme ->
+          let (_ : Driver.result) =
+            Driver.run
+              { Driver.default_config with frontend; scheme;
+                superinstructions; bytecode_replication }
+              ~source:small_script
+          in
+          let ts =
+            Template.find_or_build ~spec ~scheme (fun () ->
+                Alcotest.failf "%s/%s: the run built no template set" spec.name
+                  (Scheme.name scheme))
+          in
+          let layout =
+            Layout.build ~spec ~scheme ~fn_code_sizes:[| 64 |]
+              ~fn_const_counts:[| 0 |]
+          in
+          let vm_state = Layout.vm_state_addr layout in
+          let fetch_addr = Layout.bytecode_addr layout ~fn:0 ~pc:8 in
+          let default_handler = Layout.default_handler layout in
+          let hint op = match scheme with Scheme.Vbbi -> op | _ -> -1 in
+          let name fmt =
+            Printf.ksprintf
+              (fun m ->
+                Printf.sprintf "%s/%s %s" spec.name (Scheme.name scheme) m)
+              fmt
+          in
+          (* [program], entered at its base, dispatching [opcode]: stop when
+             the PC reaches the handler *)
+          let machine program ~opcode =
+            let tape = Event.tape_create () in
+            let m = Exec.create ~tape program in
+            Exec.set_reg m 20 vm_state;
+            Exec.set_reg m 21 (Layout.jump_table_entry layout 0);
+            Exec.store_word m fetch_addr opcode;
+            Exec.store_word m (Layout.jump_table_entry layout opcode)
+              (Layout.handler_entry layout opcode);
+            (m, tape)
+          in
+          let dispatch (m, tape) ~opcode =
+            Event.tape_clear tape;
+            Exec.store_word m vm_state fetch_addr;
+            let handler = Layout.handler_entry layout opcode in
+            let rec go steps =
+              if Exec.pc m <> handler then
+                match Exec.step m with
+                | None when steps < 100 -> go (steps + 1)
+                | _ -> Alcotest.failf "%s" (name "op %d: no dispatch" opcode)
+            in
+            go 0;
+            tape
+          in
+          let expect what ~opcode cells got =
+            incr compared;
+            Alcotest.(check (array int)) (name "op %d %s" opcode what) cells got
+          in
+          let stamped f =
+            let tape = Event.tape_create () in
+            f tape;
+            Event.tape_snapshot tape ~from:0
+          in
+          Array.iteri
+            (fun si site ->
+              let d = Dispatcher.get spec scheme ~overhead:(si = 0) in
+              let base = Layout.site_base layout site in
+              let program = Dispatcher.program d ~base ~default_handler in
+              Array.iteri
+                (fun i instr ->
+                  if d.roles.(i) <> Dispatcher.Bound_check then
+                    check_bool
+                      (name "site %d: %s validates" si
+                         (Format.asprintf "%a" Instr.pp instr))
+                      true
+                      (Instr.validate instr = Ok ()))
+                program.instrs;
+              for opcode = 0 to spec.num_opcodes - 1 do
+                let handler = Layout.handler_entry layout opcode in
+                match scheme with
+                | Scheme.Scd ->
+                  (* the handler jumps back to the site, so a second
+                     dispatch of the same opcode takes the hit path *)
+                  let program =
+                    { program with
+                      instrs =
+                        Array.init (((handler - base) / 4) + 1) (fun i ->
+                            if i < Dispatcher.length d then program.instrs.(i)
+                            else if base + (4 * i) = handler then
+                              Instr.Jal { rd = 0; offset = base - handler }
+                            else Instr.Halt) }
+                  in
+                  let m = machine program ~opcode in
+                  let pre = ts.dispatch.(si).(opcode) in
+                  let miss = ts.scd_miss.(si).(opcode) in
+                  let bop_cell tape ~hit ~target =
+                    Event.tape_push tape ~pc:pre.end_pc
+                      ~flags:
+                        (Event.tag_bop lor Event.flag_dispatch
+                        lor if hit then Event.flag_hit else 0)
+                      ~arg1:target ~arg2:opcode
+                  in
+                  expect ~opcode "bop miss"
+                    (stamped (fun tape ->
+                         Template.stamp_dispatch tape pre ~fetch_addr;
+                         bop_cell tape ~hit:false ~target:(pre.end_pc + 4);
+                         Template.stamp tape miss;
+                         Event.tape_push tape ~pc:miss.end_pc
+                           ~flags:(Event.tag_jru lor Event.flag_dispatch)
+                           ~arg1:handler ~arg2:opcode))
+                    (normalise ~scale:1 ~hint:(-1) (dispatch m ~opcode));
+                  (* the handler's jump back to the site *)
+                  ignore (Exec.step (fst m) : Exec.stop_reason option);
+                  expect ~opcode "bop hit"
+                    (stamped (fun tape ->
+                         Template.stamp_dispatch tape pre ~fetch_addr;
+                         bop_cell tape ~hit:true ~target:handler))
+                    (normalise ~scale:1 ~hint:(-1) (dispatch m ~opcode))
+                | Scheme.Baseline | Scheme.Jump_threading | Scheme.Vbbi ->
+                  expect ~opcode (Printf.sprintf "site %d" si)
+                    (stamped (fun tape ->
+                         Template.stamp_dispatch tape ts.dispatch.(si).(opcode)
+                           ~fetch_addr))
+                    (normalise ~scale:1 ~hint:(hint opcode)
+                       (dispatch (machine program ~opcode) ~opcode))
+              done)
+            [| Layout.Common_site; Layout.Call_site; Layout.Branch_site |];
+          if scheme = Scheme.Jump_threading then begin
+            let d = Dispatcher.get spec scheme ~overhead:false in
+            let program = Dispatcher.program d ~base:0 ~default_handler in
+            for opcode = 0 to spec.num_opcodes - 1 do
+              expect ~opcode "replica"
+                (stamped (fun tape ->
+                     Template.stamp_replica tape ts.replica.(opcode) ~base_pc:0
+                       ~fetch_addr))
+                (normalise ~scale:(Layout.hot_stride / 4) ~hint:(-1)
+                   (dispatch (machine program ~opcode) ~opcode))
+            done
+          end)
+        Scheme.all)
+    [ ("lua", false, false); ("lua", true, false); ("lua", false, true);
+      ("js", false, false) ];
+  (* 145 opcodes, each at 3 sites under baseline, jump threading, VBBI
+     and SCD's two paths, plus a replica *)
+  check_int "every site, opcode and replica compared" (145 * ((3 * 5) + 1))
+    !compared
+
 let prop_stamped_tape_words_agree =
   QCheck.Test.make
     ~name:"random programs: stamped and pushed tapes word-for-word identical"
@@ -828,6 +1009,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_stamped_tape_words_agree;
           Alcotest.test_case "templates cover every blob" `Quick
             test_templates_cover_every_blob;
+          Alcotest.test_case "dispatcher executes to templates" `Quick
+            test_dispatcher_executes_to_templates;
           Alcotest.test_case "flat delivery allocation-free" `Quick
             test_flat_event_delivery_allocation_free;
         ] );

@@ -435,35 +435,41 @@ let test_exec_signed_ops () =
   check_int "slt signed" 1 (Exec.reg machine 6);
   check_int "sltu unsigned" 0 (Exec.reg machine 7)
 
-(* SCD semantics of Table I on the functional executor. *)
+(* SCD semantics of Table I on the functional executor, with the
+   co-simulator's own Lua dispatcher ({!Scd_codegen.Dispatcher}) as the
+   interpreter loop: opcode 0's handler counts in r1 and jumps back,
+   opcode 1's halts. *)
 
-let scd_dispatch_program =
-  {|
-    li    r3, 0x4000        # VM pc
-    li    r4, 63
-    setmask r4
-  main_loop:
-    ldw.op r9, 0(r3)
-    addi  r3, r3, 4
-    bop
-    and   r2, r9, r4        # slow path
-    li    r1, 2
-    bgeu  r2, r1, default
-    li    r7, 0x5000
-    slli  r5, r2, 2
-    add   r7, r7, r5
-    ldw   r6, 0(r7)
-    jru   r0, 0(r6)
-  op_zero:
-    addi  r10, r10, 1
-    j     main_loop
-  op_halt:
-    halt
-  default:
-    halt
-  |}
+let scd_dispatcher =
+  Scd_codegen.Dispatcher.get Scd_codegen.Spec.rvm Scd_core.Scheme.Scd
+    ~overhead:true
 
+(* The dispatcher at address 0, then the two handlers and the default
+   handler its bound check branches to. *)
+let dispatcher_loop =
+  let n = Scd_codegen.Dispatcher.length scd_dispatcher in
+  let op_zero = 4 * n and op_halt = 4 * (n + 2) and default = 4 * (n + 3) in
+  let dispatcher =
+    Scd_codegen.Dispatcher.program scd_dispatcher ~base:0
+      ~default_handler:default
+  in
+  {
+    dispatcher with
+    Asm.instrs =
+      Array.append dispatcher.instrs
+        [| Instr.Alui { op = Add; rd = 1; rs1 = 1; imm = 1; op_suffix = false };
+           Instr.Jal { rd = 0; offset = -(op_zero + 4) };
+           Instr.Halt;
+           Instr.Halt |];
+    symbols = [ ("op_zero", op_zero); ("op_halt", op_halt); ("default", default) ];
+  }
+
+(* The dispatcher's VM state: r20 points at the bytecode pointer, r21 at
+   the jump table. *)
 let setup_dispatch machine program ~bytecodes =
+  Exec.set_reg machine 20 0x3000;
+  Exec.set_reg machine 21 0x5000;
+  Exec.store_word machine 0x3000 0x4000;
   List.iteri
     (fun i bc -> Exec.store_word machine (0x4000 + (4 * i)) bc)
     bytecodes;
@@ -474,13 +480,13 @@ let setup_dispatch machine program ~bytecodes =
     [ "op_zero"; "op_halt" ]
 
 let test_exec_scd_fast_path () =
-  let program = Asm.assemble_exn scd_dispatch_program in
+  let program = dispatcher_loop in
   let btb = Scd_uarch.Btb.create ~entries:16 ~ways:2 ~replacement:Scd_uarch.Btb.Lru () in
   let engine = Scd_core.Engine.create btb in
   let machine = Exec.create ~scd:(Scd_core.Engine.exec_backend engine) program in
   setup_dispatch machine program ~bytecodes:(List.init 50 (fun i -> if i < 49 then 0 else 1));
   Alcotest.(check bool) "halted" true (Exec.run machine = Exec.Halted);
-  check_int "all bytecodes executed" 49 (Exec.reg machine 10);
+  check_int "all bytecodes executed" 49 (Exec.reg machine 1);
   let stats = Scd_core.Engine.stats engine in
   (* first dispatch misses (no JTE and Rbop-pc unset); later ones hit *)
   Alcotest.(check bool) "mostly hits" true (stats.bop_hits >= 47);
@@ -491,7 +497,7 @@ let test_exec_scd_fast_path () =
    a pipeline that shares the engine's BTB accounts every instruction, and
    the pipeline's bop/jru statistics agree with the engine's. *)
 let test_exec_tape_drives_pipeline () =
-  let program = Asm.assemble_exn scd_dispatch_program in
+  let program = dispatcher_loop in
   let btb = Scd_uarch.Btb.create ~entries:16 ~ways:2 ~replacement:Scd_uarch.Btb.Lru () in
   let engine = Scd_core.Engine.create btb in
   let pipeline = Scd_uarch.Pipeline.create ~btb Scd_uarch.Config.simulator in
@@ -500,7 +506,7 @@ let test_exec_tape_drives_pipeline () =
     Exec.create ~scd:(Scd_core.Engine.exec_backend engine) ~tape program
   in
   setup_dispatch machine program ~bytecodes:(List.init 50 (fun i -> if i < 49 then 0 else 1));
-  let fetch_pc = Option.get (Asm.address_of program "main_loop") in
+  let fetch_pc = 4 * scd_dispatcher.fetch in
   let fetches = ref 0 in
   let rec go () =
     let stop = Exec.step machine in
@@ -531,11 +537,11 @@ let test_exec_scd_matches_unbounded () =
   (* the finite-BTB run must produce the same architectural result as the
      unbounded architectural model *)
   let run backend =
-    let program = Asm.assemble_exn scd_dispatch_program in
+    let program = dispatcher_loop in
     let machine = Exec.create ?scd:backend program in
     setup_dispatch machine program ~bytecodes:[ 0; 0; 0; 1 ];
     ignore (Exec.run machine);
-    Exec.reg machine 10
+    Exec.reg machine 1
   in
   let btb = Scd_uarch.Btb.create ~entries:4 ~ways:2 ~replacement:Scd_uarch.Btb.Lru () in
   let engine = Scd_core.Engine.create btb in

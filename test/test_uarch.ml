@@ -252,6 +252,79 @@ let test_ras_overflow_wraps () =
   Alcotest.(check (option int)) "next" (Some 2) (Ras.pop r);
   Alcotest.(check (option int)) "oldest lost" None (Ras.pop r)
 
+(* Block testbench: named boundary cases, then a reference model. *)
+
+let check_pops name expected r =
+  Alcotest.(check (list (option int)))
+    name expected
+    (List.map (fun _ -> Ras.pop r) expected)
+
+let test_ras_empty_pop () =
+  let r = Ras.create ~depth:3 in
+  check_int "the sentinel on a fresh stack" Ras.no_target (Ras.pop_target r);
+  Ras.push r 7;
+  check_pops "drained, then empty" [ Some 7; None; None ] r;
+  check_int "an empty pop leaves occupancy at zero" 0 (Ras.occupancy r);
+  Ras.push r 8;
+  check_pops "usable after empty pops" [ Some 8; None ] r
+
+let test_ras_exactly_full () =
+  let r = Ras.create ~depth:3 in
+  List.iter (Ras.push r) [ 1; 2; 3 ];
+  check_int "full" 3 (Ras.occupancy r);
+  check_pops "every entry survives, newest first" [ Some 3; Some 2; Some 1; None ] r
+
+let test_ras_one_past_full () =
+  let r = Ras.create ~depth:3 in
+  List.iter (Ras.push r) [ 1; 2; 3; 4 ];
+  check_int "occupancy saturates at the depth" 3 (Ras.occupancy r);
+  check_pops "the oldest entry is overwritten" [ Some 4; Some 3; Some 2; None ] r
+
+let test_ras_pop_after_wrap () =
+  (* the top index wraps past the end of the slots and back *)
+  let r = Ras.create ~depth:3 in
+  List.iter (Ras.push r) [ 1; 2; 3; 4; 5 ];
+  check_pops "two pops across the wrap" [ Some 5; Some 4 ] r;
+  List.iter (Ras.push r) [ 6; 7 ];
+  check_pops "refilled over the wrap point" [ Some 7; Some 6; Some 3; None ] r
+
+(* Reference: a list, newest first, truncated to the depth on every push
+   (overwriting the oldest entry). *)
+let prop_ras_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 8)
+        (list_size (int_bound 200)
+           (frequency [ (3, map (fun v -> Some v) (int_bound 1000)); (2, return None) ])))
+  in
+  QCheck.Test.make ~name:"ras matches a depth-bounded list reference" ~count:300
+    (QCheck.make
+       ~print:(fun (depth, ops) ->
+         Printf.sprintf "depth %d: %s" depth
+           (String.concat " "
+              (List.map
+                 (function Some v -> Printf.sprintf "push %d" v | None -> "pop")
+                 ops)))
+       gen)
+    (fun (depth, ops) ->
+      let r = Ras.create ~depth in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Some v ->
+             Ras.push r v;
+             model := List.filteri (fun i _ -> i < depth) (v :: !model);
+             true
+           | None -> (
+             match !model with
+             | [] -> Ras.pop_target r = Ras.no_target
+             | top :: rest ->
+               model := rest;
+               Ras.pop_target r = top))
+          && Ras.occupancy r = List.length !model)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Cache and TLB                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1090,6 +1163,11 @@ let () =
         [
           Alcotest.test_case "lifo" `Quick test_ras_lifo;
           Alcotest.test_case "overflow" `Quick test_ras_overflow_wraps;
+          Alcotest.test_case "empty pop" `Quick test_ras_empty_pop;
+          Alcotest.test_case "exactly full" `Quick test_ras_exactly_full;
+          Alcotest.test_case "one past full" `Quick test_ras_one_past_full;
+          Alcotest.test_case "pop after wrap" `Quick test_ras_pop_after_wrap;
+          QCheck_alcotest.to_alcotest prop_ras_matches_reference;
         ] );
       ( "cache",
         [
