@@ -173,9 +173,8 @@ let micro_kernels () =
         in
         for i = 0 to 999 do
           let key = (i land 63) lsl 2 in
-          match Scd_uarch.Btb.lookup b ~jte:true ~key with
-          | Some _ -> ()
-          | None -> Scd_uarch.Btb.insert b ~jte:true ~key ~target:i
+          if Scd_uarch.Btb.lookup_target b ~jte:true ~key = Scd_uarch.Btb.no_target
+          then Scd_uarch.Btb.insert b ~jte:true ~key ~target:i
         done )
   in
   let engine_bop =
@@ -389,24 +388,8 @@ let check_budgets kernels =
   ok
 
 (* ------------------------------------------------------------------ *)
-(* JSON perf trajectory (hand-rolled writer: no JSON dependency)       *)
+(* JSON perf trajectory                                                *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
 
 (* Bump when the shape of the --json document changes so downstream
    trajectory tooling can dispatch on it. Version history:
@@ -423,72 +406,46 @@ let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
 let json_schema_version = 6
 
 let write_json path ~(opts : options) ~experiments ~total_seconds ~micro ~store =
+  let open Scd_obs.Json in
   let tm = Unix.localtime (Unix.time ()) in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"schema_version\": %d,\n" json_schema_version);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"date\": \"%04d-%02d-%02dT%02d:%02d:%02d\",\n"
-       (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-       tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"host\": { \"ocaml\": \"%s\", \"word_size\": %d, \
-        \"os_type\": \"%s\", \"recommended_domains\": %d },\n"
-       (json_escape Sys.ocaml_version) Sys.word_size
-       (json_escape Sys.os_type)
-       (Scd_util.Pool.default_jobs ()));
-  (* recommended_domains predates the host object; kept top-level too so
-     schema<5 consumers keep working *)
-  Buffer.add_string buf
-    (Printf.sprintf "  \"jobs\": %d,\n  \"recommended_domains\": %d,\n"
-       opts.jobs (Scd_util.Pool.default_jobs ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"scale\": \"%s\",\n"
-       (if opts.quick then "quick" else "full"));
-  Buffer.add_string buf "  \"experiments\": [";
-  List.iteri
-    (fun i (r : Scd_experiments.Runner.rendered) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    { \"id\": \"%s\", \"seconds\": %s }"
-           (json_escape r.experiment.id) (json_float r.seconds)))
-    experiments;
-  if experiments <> [] then Buffer.add_string buf "\n  ";
-  Buffer.add_string buf "],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"total_seconds\": %s,\n" (json_float total_seconds));
-  (match store with
-   | None -> Buffer.add_string buf "  \"cache\": null,\n"
-   | Some s ->
-     Buffer.add_string buf
-       (Printf.sprintf
-          "  \"cache\": { \"dir\": \"%s\", \"hits\": %d, \"misses\": %d, \
-           \"stores\": %d, \"corrupt\": %d },\n"
-          (json_escape (Scd_experiments.Store.dir s))
-          (Scd_experiments.Store.hits s)
-          (Scd_experiments.Store.misses s)
-          (Scd_experiments.Store.stores s)
-          (Scd_experiments.Store.corrupt s)));
-  Buffer.add_string buf "  \"micro\": [";
-  List.iteri
-    (fun i (r : micro_result) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"name\": \"%s\", \"ns_per_run\": %s, \
-            \"minor_words_per_run\": %s, \"major_words_per_run\": %s, \
-            \"promoted_words_per_run\": %s }"
-           (json_escape r.name) (json_float r.ns_per_run)
-           (json_float r.minor_words_per_run)
-           (json_float r.major_words_per_run)
-           (json_float r.promoted_words_per_run)))
-    micro;
-  if micro <> [] then Buffer.add_string buf "\n  ";
-  Buffer.add_string buf "]\n}\n";
+  let experiment (r : Scd_experiments.Runner.rendered) =
+    Object [ ("id", String r.experiment.id); ("seconds", Number r.seconds) ]
+  in
+  let cache s =
+    let module Store = Scd_experiments.Store in
+    Object
+      [ ("dir", String (Store.dir s)); ("hits", int (Store.hits s));
+        ("misses", int (Store.misses s)); ("stores", int (Store.stores s));
+        ("corrupt", int (Store.corrupt s)) ]
+  in
+  let micro_result r =
+    Object
+      [ ("name", String r.name); ("ns_per_run", Number r.ns_per_run);
+        ("minor_words_per_run", Number r.minor_words_per_run);
+        ("major_words_per_run", Number r.major_words_per_run);
+        ("promoted_words_per_run", Number r.promoted_words_per_run) ]
+  in
+  let doc =
+    Object
+      [ ("schema_version", int json_schema_version);
+        ( "date",
+          String
+            (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d"
+               (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
+               tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec) );
+        ("host", Scd_obs.Prof.host ());
+        ("jobs", int opts.jobs);
+        (* recommended_domains predates the host object; kept top-level too
+           so schema<5 consumers keep working *)
+        ("recommended_domains", int (Scd_util.Pool.default_jobs ()));
+        ("scale", String (if opts.quick then "quick" else "full"));
+        ("experiments", Array (List.map experiment experiments));
+        ("total_seconds", Number total_seconds);
+        ("cache", Option.fold ~none:Null ~some:cache store);
+        ("micro", Array (List.map micro_result micro)) ]
+  in
   let oc = open_out path in
-  output_string oc (Buffer.contents buf);
+  output_string oc (to_string doc ^ "\n");
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 

@@ -5,7 +5,6 @@
      scdsim run --file prog.mina --scheme baseline
      scdsim trace fibo --interval 10000 --out t.json    telemetry run
      scdsim prof fibo --runs 3 --json p.json -o t.json  host-runtime profile
-     scdsim budget BENCH.json                           allocation budgets
      scdsim exp fig7 [--quick] [--csv] [--cache [DIR]]  regenerate a figure
      scdsim cache stats|clear|verify                    persistent sweep cache
      scdsim check [--seeds N] [-f F] [--faults]         differential checker
@@ -308,19 +307,13 @@ let trace_cmd =
            | Some path ->
              write_file path (to_csv telemetry);
              Printf.printf "\nwrote %s\n" path);
-          match out with
-          | None -> `Ok ()
-          | Some path -> (
-            let json = to_chrome_trace telemetry in
-            match Scd_obs.Json.validate json with
-            | Error m ->
-              `Error
-                (false, "internal error: emitted trace JSON is invalid: " ^ m)
-            | Ok () ->
-              write_file path json;
-              Printf.printf "\nwrote %s (load in chrome://tracing or Perfetto)\n"
-                path;
-              `Ok ()))
+          (match out with
+           | None -> ()
+           | Some path ->
+             write_file path (to_chrome_trace telemetry);
+             Printf.printf "\nwrote %s (load in chrome://tracing or Perfetto)\n"
+               path);
+          `Ok ())
   in
   Cmd.v
     (Cmd.info "trace"
@@ -339,15 +332,6 @@ let trace_cmd =
    time and GC counter deltas per Scd_obs.Prof span (the driver phases —
    setup, compile, layout, execute, snapshot — nested under one "run"
    span per repetition). *)
-
-let host_info_json () =
-  Printf.sprintf
-    "{ \"ocaml\": %s, \"word_size\": %d, \"os_type\": %s, \
-     \"recommended_domains\": %d }"
-    (Scd_obs.Json.string Sys.ocaml_version)
-    Sys.word_size
-    (Scd_obs.Json.string Sys.os_type)
-    (Scd_util.Pool.default_jobs ())
 
 (* Depth-first over the span forest in first-completion order; every parent
    gets an explicit "(unattributed)" row — its own time and allocation not
@@ -426,55 +410,45 @@ let prof_coverage profile =
 
 let prof_json profile ~workload ~vm ~scheme ~machine ~scale ~runs =
   let open Scd_obs in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema_version\": 1,\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"workload\": %s,\n  \"vm\": %s,\n  \"scheme\": %s,\n"
-       (Json.string workload)
-       (Json.string (Scd_cosim.Frontend.name vm))
-       (Json.string (Scd_core.Scheme.name scheme)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"machine\": %s,\n  \"scale\": %s,\n  \"runs\": %d,\n"
-       (Json.string machine.Scd_uarch.Config.name)
-       (Json.string (Scd_workloads.Workload.scale_name scale))
-       runs);
-  Buffer.add_string b
-    (Printf.sprintf "  \"host\": %s,\n" (host_info_json ()));
-  (match prof_coverage profile with
-   | None -> ()
-   | Some (root, aw, am) ->
-     Buffer.add_string b
-       (Printf.sprintf
-          "  \"coverage\": { \"wall_ns\": %d, \"attributed_wall_ns\": %d, \
-           \"minor_words\": %s, \"attributed_minor_words\": %s },\n"
-          root.wall_ns aw
-          (Json.number root.gc.minor_words)
-          (Json.number am)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"dropped_events\": %d,\n"
-       (Prof.dropped_events profile));
-  Buffer.add_string b "  \"spans\": [";
-  List.iteri
-    (fun i (s : Prof.span) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    { \"path\": %s, \"name\": %s, \"depth\": %d, \
-            \"calls\": %d, \"wall_ns\": %d, \"p50_us\": %d, \"p99_us\": %d, \
-            \"minor_words\": %s, \"promoted_words\": %s, \
-            \"major_words\": %s, \"minor_collections\": %d, \
-            \"major_collections\": %d, \"compactions\": %d }"
-           (Json.string s.path) (Json.string s.name) s.depth s.calls s.wall_ns
-           (Histogram.quantile s.latency 0.5)
-           (Histogram.quantile s.latency 0.99)
-           (Json.number s.gc.minor_words)
-           (Json.number s.gc.promoted_words)
-           (Json.number s.gc.major_words)
-           s.gc.minor_collections s.gc.major_collections s.gc.compactions))
-    (Prof.spans profile);
-  if Prof.spans profile <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "]\n}\n";
-  Buffer.contents b
+  let coverage =
+    match prof_coverage profile with
+    | None -> []
+    | Some (root, aw, am) ->
+      [ ( "coverage",
+          Json.Object
+            [ ("wall_ns", Json.int root.wall_ns);
+              ("attributed_wall_ns", Json.int aw);
+              ("minor_words", Json.Number root.gc.minor_words);
+              ("attributed_minor_words", Json.Number am) ] ) ]
+  in
+  let span (s : Prof.span) =
+    Json.Object
+      [ ("path", Json.String s.path); ("name", Json.String s.name);
+        ("depth", Json.int s.depth); ("calls", Json.int s.calls);
+        ("wall_ns", Json.int s.wall_ns);
+        ("p50_us", Json.int (Histogram.quantile s.latency 0.5));
+        ("p99_us", Json.int (Histogram.quantile s.latency 0.99));
+        ("minor_words", Json.Number s.gc.minor_words);
+        ("promoted_words", Json.Number s.gc.promoted_words);
+        ("major_words", Json.Number s.gc.major_words);
+        ("minor_collections", Json.int s.gc.minor_collections);
+        ("major_collections", Json.int s.gc.major_collections);
+        ("compactions", Json.int s.gc.compactions) ]
+  in
+  let fields =
+    [ ("schema_version", Json.int 1);
+      ("workload", Json.String workload);
+      ("vm", Json.String (Scd_cosim.Frontend.name vm));
+      ("scheme", Json.String (Scd_core.Scheme.name scheme));
+      ("machine", Json.String machine.Scd_uarch.Config.name);
+      ("scale", Json.String (Scd_workloads.Workload.scale_name scale));
+      ("runs", Json.int runs);
+      ("host", Prof.host ()) ]
+    @ coverage
+    @ [ ("dropped_events", Json.int (Prof.dropped_events profile));
+        ("spans", Json.Array (List.map span (Prof.spans profile))) ]
+  in
+  Json.to_string (Json.Object fields) ^ "\n"
 
 let prof_chrome_trace profile =
   let tr = Scd_obs.Chrome_trace.create ~process_name:"scdsim host profiler" () in
@@ -484,9 +458,9 @@ let prof_chrome_trace profile =
   Scd_obs.Prof.iter_events profile (fun (e : Scd_obs.Prof.event) ->
       Scd_obs.Chrome_trace.complete tr ~name:e.ev_path
         ~ts:(e.ev_start_ns / 1000) ~dur:(e.ev_dur_ns / 1000));
-  Scd_obs.Chrome_trace.add_other tr ~key:"host" ~json:(host_info_json ());
-  Scd_obs.Chrome_trace.add_other tr ~key:"timeline"
-    ~json:"\"host microseconds (not simulated cycles)\"";
+  Scd_obs.Chrome_trace.add_other_value tr ~key:"host" (Scd_obs.Prof.host ());
+  Scd_obs.Chrome_trace.add_other_value tr ~key:"timeline"
+    (Scd_obs.Json.String "host microseconds (not simulated cycles)");
   Scd_obs.Chrome_trace.contents tr
 
 let prof_cmd =
@@ -558,33 +532,17 @@ let prof_cmd =
               Printf.printf "note: %d span events beyond the trace cap were dropped \
                              (aggregates are complete)\n"
                 (Scd_obs.Prof.dropped_events profile));
-           let write_validated path doc what =
-             match Scd_obs.Json.validate doc with
-             | Error m ->
-               Error (Printf.sprintf "internal error: emitted %s is invalid: %s" what m)
-             | Ok () ->
-               write_file path doc;
-               Printf.printf "\nwrote %s\n" path;
-               Ok ()
+           let write path doc =
+             write_file path doc;
+             Printf.printf "\nwrote %s\n" path
            in
-           let res =
-             match json with
-             | None -> Ok ()
-             | Some path ->
-               write_validated path
-                 (prof_json profile ~workload ~vm ~scheme ~machine ~scale ~runs)
-                 "profile JSON"
-           in
-           let res =
-             match res with
-             | Error _ as e -> e
-             | Ok () -> (
-               match out with
-               | None -> Ok ()
-               | Some path ->
-                 write_validated path (prof_chrome_trace profile) "trace JSON")
-           in
-           (match res with Error m -> `Error (false, m) | Ok () -> `Ok ()))
+           Option.iter
+             (fun path ->
+               write path
+                 (prof_json profile ~workload ~vm ~scheme ~machine ~scale ~runs))
+             json;
+           Option.iter (fun path -> write path (prof_chrome_trace profile)) out;
+           `Ok ())
   in
   Cmd.v
     (Cmd.info "prof"
@@ -592,36 +550,6 @@ let prof_cmd =
              driver phase, with JSON and Chrome-trace export")
     Term.(ret (const action $ workload_pos $ vm_arg $ scheme_arg $ machine_arg
                $ scale_arg $ runs $ json $ out))
-
-(* ------------------------------------------------------------------ *)
-(* budget: compare a bench --json report against allocation budgets    *)
-(* ------------------------------------------------------------------ *)
-
-let budget_cmd =
-  let report =
-    Arg.(required & pos 0 (some non_dir_file) None
-         & info [] ~docv:"REPORT" ~doc:"A bench --json report file.")
-  in
-  let action report =
-    let ic = open_in_bin report in
-    let contents = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Scd_obs.Budget.check_report contents with
-    | Error m -> `Error (false, m)
-    | Ok verdicts ->
-      print_string (Scd_obs.Budget.render verdicts);
-      if Scd_obs.Budget.ok verdicts then `Ok ()
-      else
-        `Error
-          (false,
-           "allocation budget exceeded (deliberate? update \
-            Scd_obs.Budget.table in lib/obs/budget.ml)")
-  in
-  Cmd.v
-    (Cmd.info "budget"
-       ~doc:"Check a bench --json report against the checked-in allocation \
-             budgets")
-    Term.(ret (const action $ report))
 
 (* ------------------------------------------------------------------ *)
 (* exp                                                                 *)
@@ -1000,6 +928,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; trace_cmd; prof_cmd; budget_cmd; exp_cmd; cache_cmd;
+          [ run_cmd; trace_cmd; prof_cmd; exp_cmd; cache_cmd;
             check_cmd; list_cmd; dispatch_cmd;
             assemble_cmd; exec_cmd ]))

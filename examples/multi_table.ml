@@ -54,7 +54,9 @@ let () =
   let survivors =
     List.length
       (List.filter
-         (fun i -> Scd_uarch.Btb.probe btb ~jte:false ~key:(0x9000 + (4 * i)) <> None)
+         (fun i ->
+           Scd_uarch.Btb.probe_target btb ~jte:false ~key:(0x9000 + (4 * i))
+           <> Scd_uarch.Btb.no_target)
          (List.init 64 Fun.id))
   in
   Printf.printf "branch entries surviving the flush: %d\n" survivors

@@ -81,10 +81,26 @@ let run_geometry ?(legacy_rr_fill = false) ~ops ~seed g =
   in
   let sets = Scd_uarch.Btb.sets real in
   let result = ref None in
+  let show t =
+    if t = Scd_uarch.Btb.no_target then "miss" else Printf.sprintf "%#x" t
+  in
   let step i =
     let op = gen_op rng ~sets in
     let describe problem =
       Printf.sprintf "%s: op %d (%s): %s" g.label i (op_to_string op) problem
+    in
+    let lookup ~jte key =
+      let r = Scd_uarch.Btb.lookup_target real ~jte ~key in
+      let m =
+        Option.value (Btb_model.lookup model ~jte ~key)
+          ~default:Scd_uarch.Btb.no_target
+      in
+      if r <> m then
+        result :=
+          Some
+            (describe
+               (Printf.sprintf "lookup disagrees (model %s, real %s)" (show m)
+                  (show r)))
     in
     (match op with
      | Insert_jte (key, target) ->
@@ -93,26 +109,8 @@ let run_geometry ?(legacy_rr_fill = false) ~ops ~seed g =
      | Insert_branch (key, target) ->
        Scd_uarch.Btb.insert real ~jte:false ~key ~target;
        Btb_model.insert model ~jte:false ~key ~target
-     | Lookup_jte key ->
-       let r = Scd_uarch.Btb.lookup real ~jte:true ~key in
-       let m = Btb_model.lookup model ~jte:true ~key in
-       if r <> m then
-         result :=
-           Some
-             (describe
-                (Printf.sprintf "lookup disagrees (model %s, real %s)"
-                   (match m with Some t -> Printf.sprintf "%#x" t | None -> "miss")
-                   (match r with Some t -> Printf.sprintf "%#x" t | None -> "miss")))
-     | Lookup_branch key ->
-       let r = Scd_uarch.Btb.lookup real ~jte:false ~key in
-       let m = Btb_model.lookup model ~jte:false ~key in
-       if r <> m then
-         result :=
-           Some
-             (describe
-                (Printf.sprintf "lookup disagrees (model %s, real %s)"
-                   (match m with Some t -> Printf.sprintf "%#x" t | None -> "miss")
-                   (match r with Some t -> Printf.sprintf "%#x" t | None -> "miss")))
+     | Lookup_jte key -> lookup ~jte:true key
+     | Lookup_branch key -> lookup ~jte:false key
      | Flush ->
        Scd_uarch.Btb.flush_jtes real;
        Btb_model.flush_jtes model);

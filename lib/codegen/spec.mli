@@ -62,8 +62,12 @@ type t = {
   dispatch_site : int -> [ `Common | `Call_tail | `Branch_tail ];
       (** Which fetch site dispatches *after* this opcode's handler. For the
           register VM everything is [`Common]; the stack VM mirrors
-          SpiderMonkey's replicated fetch sites, and [`Branch_tail] sites
-          are not covered by the SCD [.op] transformation (Section III-C). *)
+          SpiderMonkey's replicated fetch sites. Every site runs the same
+          dispatcher ([Dispatcher.get]; the call and branch tails without
+          the loop book-keeping), so under SCD each of the three sites has
+          its own [ldw.op] and [bop], the branch tail included. Section
+          III-C leaves branch-tail sites outside the [.op] transformation;
+          DESIGN.md §5 records the difference. *)
 }
 
 val rvm : t

@@ -164,41 +164,34 @@ let to_csv t = Series.to_csv t.series
 (* Chrome trace export                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let attribution_json ~name_of attr =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (r : Attribution.row) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%s: {\"events\": %d, \"cycles\": %d, \"instructions\": %d, \
-            \"mispredicts\": %d}"
-           (Json.string (name_of r.key))
-           r.events r.cycles r.instructions r.mispredicts))
-    (Attribution.rows attr);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let attribution_object ~name_of attr =
+  Json.Object
+    (List.map
+       (fun (r : Attribution.row) ->
+         ( name_of r.key,
+           Json.Object
+             [ ("events", Json.int r.events); ("cycles", Json.int r.cycles);
+               ("instructions", Json.int r.instructions);
+               ("mispredicts", Json.int r.mispredicts) ] ))
+       (Attribution.rows attr))
 
-let histogram_json h =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"count\": %d, \"total\": %d, \"mean\": %s, \"min\": %d, \"max\": %d, \
-        \"p50\": %d, \"p99\": %d, \"buckets\": ["
-       (Histogram.count h) (Histogram.total h)
-       (Json.number (Histogram.mean h))
-       (Histogram.min_value h) (Histogram.max_value h)
-       (Histogram.quantile h 0.5) (Histogram.quantile h 0.99));
-  List.iteri
-    (fun i (lo, hi, count) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"lo\": %d, \"hi\": %d, \"count\": %d}" (max lo 0) hi
-           count))
-    (Histogram.rows h);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+let histogram_object h =
+  Json.Object
+    [ ("count", Json.int (Histogram.count h));
+      ("total", Json.int (Histogram.total h));
+      ("mean", Json.Number (Histogram.mean h));
+      ("min", Json.int (Histogram.min_value h));
+      ("max", Json.int (Histogram.max_value h));
+      ("p50", Json.int (Histogram.quantile h 0.5));
+      ("p99", Json.int (Histogram.quantile h 0.99));
+      ( "buckets",
+        Json.Array
+          (List.map
+             (fun (lo, hi, count) ->
+               Json.Object
+                 [ ("lo", Json.int (max lo 0)); ("hi", Json.int hi);
+                   ("count", Json.int count) ])
+             (Histogram.rows h)) ) ]
 
 let to_chrome_trace ?(process_name = "scdsim") t =
   let tr = Chrome_trace.create ~process_name () in
@@ -230,14 +223,12 @@ let to_chrome_trace ?(process_name = "scdsim") t =
     if get row "d_jte_flushes" > 0.0 then
       Chrome_trace.instant tr ~name:"jte_flush" ~ts
   done;
-  Chrome_trace.add_other tr ~key:"interval_instructions" ~json:(Json.int t.interval);
-  Chrome_trace.add_other tr ~key:"samples" ~json:(Json.int (Series.length s));
-  Chrome_trace.add_other tr ~key:"site_attribution"
-    ~json:(attribution_json ~name_of:site_name t.site_attr);
-  Chrome_trace.add_other tr ~key:"opcode_attribution"
-    ~json:(attribution_json ~name_of:string_of_int t.opcode_attr);
-  Chrome_trace.add_other tr ~key:"cycles_per_bytecode"
-    ~json:(histogram_json t.cycles_per_bytecode);
-  Chrome_trace.add_other tr ~key:"mispredict_burst_lengths"
-    ~json:(histogram_json t.burst_lengths);
+  let other key v = Chrome_trace.add_other_value tr ~key v in
+  other "interval_instructions" (Json.int t.interval);
+  other "samples" (Json.int (Series.length s));
+  other "site_attribution" (attribution_object ~name_of:site_name t.site_attr);
+  other "opcode_attribution"
+    (attribution_object ~name_of:string_of_int t.opcode_attr);
+  other "cycles_per_bytecode" (histogram_object t.cycles_per_bytecode);
+  other "mispredict_burst_lengths" (histogram_object t.burst_lengths);
   Chrome_trace.contents tr

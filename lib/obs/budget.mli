@@ -1,11 +1,10 @@
 (** Allocation budgets for the simulator's hot kernels.
 
     A checked-in table of [minor_words_per_run] budgets for the bench
-    [--micro] kernels, plus a comparator that loads a bench [--json] report
-    and flags overruns. `bench/main.exe --check-budgets` (wired into
-    [dune runtest] as the budget-check rule) counts each kernel's minor
-    words exactly and fails when any budgeted micro allocates more than
-    its budget. *)
+    [--micro] kernels, plus a comparator over measured counts.
+    `bench/main.exe --check-budgets` (wired into [dune runtest] as the
+    budget-check rule) counts each kernel's minor words exactly and fails
+    when any budgeted micro allocates more than its budget. *)
 
 type entry = { name : string; minor_words_per_run : float }
 
@@ -18,7 +17,7 @@ type status = Pass | Fail | Missing
 
 type verdict = {
   entry : entry;
-  measured : float option;  (** [None] when the report lacks the micro. *)
+  measured : float option;  (** [None] when the micro was not measured. *)
   status : status;
 }
 
@@ -30,16 +29,11 @@ val check_measured :
     order. *)
 
 val ok : verdict list -> bool
-(** Every verdict is [Pass] — a budgeted micro [Missing] from the report
-    fails too, so the table cannot rot silently. *)
+(** Every verdict is [Pass] — a budgeted micro [Missing] from the
+    measurements fails too, so the table cannot rot silently. *)
 
 val status_name : status -> string
 
 val render : verdict list -> string
 (** One line per verdict under a header: kernel, budget, measured words,
     status. *)
-
-val check_report : ?budgets:entry list -> string -> (verdict list, string) result
-(** Parse a bench [--json] report (any schema version with a ["micro"]
-    array) and compare its [minor_words_per_run] counts. [Error] on
-    malformed JSON or a report without micros. *)

@@ -1,74 +1,51 @@
+open Json
+
+(* Both lists newest first. *)
 type t = {
-  events : Buffer.t;
-  mutable first_event : bool;
-  other : Buffer.t;
-  mutable first_other : bool;
+  mutable events : value list;
+  mutable other : (string * value) list;
 }
 
-let start_event t =
-  if t.first_event then t.first_event <- false else Buffer.add_char t.events ',';
-  Buffer.add_string t.events "\n  "
+let event t fields = t.events <- Object fields :: t.events
 
 let metadata t ~name ~arg =
-  start_event t;
-  Buffer.add_string t.events
-    (Printf.sprintf
-       "{\"name\":%s,\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":%s}}"
-       (Json.string name) (Json.string arg))
+  event t
+    [ ("name", String name); ("ph", String "M"); ("pid", int 0); ("tid", int 0);
+      ("args", Object [ ("name", String arg) ]) ]
 
 let create ?(process_name = "scdsim") () =
-  let t =
-    {
-      events = Buffer.create 4096;
-      first_event = true;
-      other = Buffer.create 256;
-      first_other = true;
-    }
-  in
+  let t = { events = []; other = [] } in
   metadata t ~name:"process_name" ~arg:process_name;
   metadata t ~name:"thread_name" ~arg:"co-simulated core";
   t
 
 let counter t ~name ~ts args =
-  start_event t;
-  Buffer.add_string t.events
-    (Printf.sprintf "{\"name\":%s,\"ph\":\"C\",\"ts\":%d,\"pid\":0,\"tid\":0,\"args\":{"
-       (Json.string name) ts);
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char t.events ',';
-      Buffer.add_string t.events (Json.string k);
-      Buffer.add_char t.events ':';
-      Buffer.add_string t.events (Json.number v))
-    args;
-  Buffer.add_string t.events "}}"
+  event t
+    [ ("name", String name); ("ph", String "C"); ("ts", int ts); ("pid", int 0);
+      ("tid", int 0);
+      ("args", Object (List.map (fun (k, v) -> (k, Number v)) args)) ]
 
 let instant t ~name ~ts =
-  start_event t;
-  Buffer.add_string t.events
-    (Printf.sprintf
-       "{\"name\":%s,\"ph\":\"i\",\"ts\":%d,\"pid\":0,\"tid\":0,\"s\":\"g\"}"
-       (Json.string name) ts)
+  event t
+    [ ("name", String name); ("ph", String "i"); ("ts", int ts); ("pid", int 0);
+      ("tid", int 0); ("s", String "g") ]
 
 let complete t ~name ~ts ~dur =
-  start_event t;
-  Buffer.add_string t.events
-    (Printf.sprintf
-       "{\"name\":%s,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":0,\"tid\":0}"
-       (Json.string name) ts dur)
+  event t
+    [ ("name", String name); ("ph", String "X"); ("ts", int ts);
+      ("dur", int dur); ("pid", int 0); ("tid", int 0) ]
+
+let add_other_value t ~key v = t.other <- (key, v) :: t.other
 
 let add_other t ~key ~json =
-  if t.first_other then t.first_other <- false else Buffer.add_char t.other ',';
-  Buffer.add_string t.other "\n    ";
-  Buffer.add_string t.other (Json.string key);
-  Buffer.add_string t.other ": ";
-  Buffer.add_string t.other json
+  match parse json with
+  | Ok v -> add_other_value t ~key v
+  | Error m -> invalid_arg ("Chrome_trace.add_other: " ^ m)
 
 let contents t =
-  let buf = Buffer.create (Buffer.length t.events + Buffer.length t.other + 128) in
-  Buffer.add_string buf "{\"traceEvents\": [";
-  Buffer.add_buffer buf t.events;
-  Buffer.add_string buf "\n ],\n \"displayTimeUnit\": \"ms\",\n \"otherData\": {";
-  Buffer.add_buffer buf t.other;
-  Buffer.add_string buf "\n  }\n}\n";
-  Buffer.contents buf
+  to_string
+    (Object
+       [ ("traceEvents", Array (List.rev t.events));
+         ("displayTimeUnit", String "ms");
+         ("otherData", Object (List.rev t.other)) ])
+  ^ "\n"

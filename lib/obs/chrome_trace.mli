@@ -7,8 +7,8 @@
     simulated cycle count as the microsecond timestamp, and instant events
     ([ph = "i"]) for point occurrences such as context-switch JTE flushes.
 
-    Events are serialised into an internal buffer as they are added; the
-    builder holds no per-event structures. *)
+    The builder keeps each event as a {!Json.value}; {!contents} prints the
+    document with {!Json.to_string}. *)
 
 type t
 
@@ -26,9 +26,14 @@ val instant : t -> name:string -> ts:int -> unit
 val complete : t -> name:string -> ts:int -> dur:int -> unit
 (** A complete ([ph = "X"]) slice of [dur] cycles starting at [ts]. *)
 
+val add_other_value : t -> key:string -> Json.value -> unit
+(** Attach [value] under ["otherData"].[key]. Members keep the order they
+    were added in. *)
+
 val add_other : t -> key:string -> json:string -> unit
-(** Attach a pre-serialised JSON value under ["otherData"].[key]. The value
-    must be well-formed JSON; it is embedded verbatim. *)
+(** {!add_other_value} of a pre-serialised JSON document, parsed by
+    {!Json.parse}: every number reaches the trace as the same float.
+    Raises [Invalid_argument] when [json] is malformed. *)
 
 val contents : t -> string
 (** The complete document. The builder remains usable (more events append

@@ -16,17 +16,6 @@ let escape s =
 
 let string s = "\"" ^ escape s ^ "\""
 
-let number v =
-  if not (Float.is_finite v) then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6f" v
-
-let int = string_of_int
-
-(* ------------------------------------------------------------------ *)
-(* Parser: recursive-descent over the byte string                      *)
-(* ------------------------------------------------------------------ *)
-
 type value =
   | Null
   | Bool of bool
@@ -34,6 +23,67 @@ type value =
   | String of string
   | Array of value list
   | Object of (string * value) list
+
+let int n = Number (float_of_int n)
+
+(* The shortest of 15, 16 and 17 significant digits that reads back as
+   [v]; 17 always does. *)
+let number v =
+  if not (Float.is_finite v) then "null"
+  else
+    let s = Printf.sprintf "%.15g" v in
+    if float_of_string s = v then s
+    else
+      let s = Printf.sprintf "%.16g" v in
+      if float_of_string s = v then s else Printf.sprintf "%.17g" v
+
+(* A container at depth 0 or 1 that holds a non-empty container puts one
+   item per line, so reports and traces diff line by line; every other
+   container prints on one line. *)
+let to_string v =
+  let b = Buffer.create 1024 in
+  let nested = function Array (_ :: _) | Object (_ :: _) -> true | _ -> false in
+  let rec value depth = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Number x -> Buffer.add_string b (number x)
+    | String s -> Buffer.add_string b (string s)
+    | Array items ->
+      container depth '[' ']' (List.exists nested items) items (value (depth + 1))
+    | Object members ->
+      container depth '{' '}'
+        (List.exists (fun (_, v) -> nested v) members)
+        members
+        (fun (k, v) ->
+          Buffer.add_string b (string k);
+          Buffer.add_string b ": ";
+          value (depth + 1) v)
+  and container :
+        'a. int -> char -> char -> bool -> 'a list -> ('a -> unit) -> unit =
+   fun depth opening closing nested items item ->
+    let broken = nested && depth < 2 in
+    let newline depth =
+      if broken then begin
+        Buffer.add_char b '\n';
+        Buffer.add_string b (String.make (2 * depth) ' ')
+      end
+    in
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string b (if broken then "," else ", ");
+        newline (depth + 1);
+        item x)
+      items;
+    newline depth;
+    Buffer.add_char b closing
+  in
+  value 0 v;
+  Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* Parser: recursive-descent over the byte string                      *)
+(* ------------------------------------------------------------------ *)
 
 exception Bad of int * string
 
@@ -247,8 +297,6 @@ let parse s =
     if !pos <> n then Error (Printf.sprintf "trailing data at offset %d" !pos)
     else Ok v
   with Bad (at, msg) -> Error (Printf.sprintf "%s at offset %d" msg at)
-
-let validate s = match parse s with Ok _ -> Ok () | Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Accessors over parsed values                                        *)

@@ -1,23 +1,15 @@
-(** Minimal JSON emission helpers, a parser and a syntax validator.
+(** JSON values, one printer and a parser.
 
-    The repository has no JSON dependency; exporters build their output with
-    a [Buffer] and these escaping/number helpers, the validator lets tests
-    (and the [scdsim trace]/[scdsim prof] commands themselves) check that
-    emitted documents are well-formed RFC 8259 JSON before they are written
-    out, and the parser lets consumers — the {!Budget} comparator loading a
-    bench [--json] report, round-trip smoke tests — read them back. *)
+    The repository has no JSON dependency. Every JSON document it writes
+    (bench [--json], [scdsim prof --json], Chrome traces) is built as a
+    {!value} and printed by {!to_string}; the parser reads documents back,
+    for tests and for {!Chrome_trace.add_other}'s pre-serialised members. *)
 
 val escape : string -> string
 (** Escape a string for inclusion between double quotes. *)
 
 val string : string -> string
 (** A quoted, escaped JSON string literal. *)
-
-val number : float -> string
-(** A JSON number: integral floats print without a fractional part;
-    non-finite values print as [null] (JSON has no NaN/infinity). *)
-
-val int : int -> string
 
 type value =
   | Null
@@ -26,8 +18,19 @@ type value =
   | String of string
   | Array of value list
   | Object of (string * value) list
-(** Parsed JSON. Object members keep document order; duplicate keys keep
-    their first occurrence for {!member}. *)
+(** A JSON document. Object members keep document order; duplicate keys
+    keep their first occurrence for {!member}. *)
+
+val int : int -> value
+(** [Number] of an int (exact below 2{^53}). *)
+
+val to_string : value -> string
+(** The document as JSON text, without a trailing newline. Strings go
+    through {!escape}; a non-finite number prints as [null] (JSON has no
+    NaN or infinity); every other number prints in the fewest of 15, 16
+    or 17 significant digits that {!parse} reads back as the same float.
+    The top two levels put one item per line where they hold a non-empty
+    array or object; everything deeper prints on one line. *)
 
 val parse : string -> (value, string) result
 (** Parse the whole input as exactly one JSON value (surrounded by optional
@@ -35,9 +38,6 @@ val parse : string -> (value, string) result
     are decoded: [\uXXXX] becomes UTF-8, with UTF-16 surrogate pairs
     ([\uD800-\uDBFF] followed by [\uDC00-\uDFFF]) reassembled into one
     supplementary-plane code point; a lone surrogate is a parse error. *)
-
-val validate : string -> (unit, string) result
-(** [parse] with the value thrown away: a pure well-formedness check. *)
 
 val member : string -> value -> value option
 (** [member k (Object _)] is the value bound to [k], if any; [None] on

@@ -227,3 +227,10 @@ let attributed t parent =
   List.fold_left
     (fun (w, m) c -> (w + c.wall_ns, m +. c.gc.minor_words))
     (0, 0.0) (children t parent)
+
+let host () =
+  Json.Object
+    [ ("ocaml", Json.String Sys.ocaml_version);
+      ("word_size", Json.int Sys.word_size);
+      ("os_type", Json.String Sys.os_type);
+      ("recommended_domains", Json.int (Pool.default_jobs ())) ]

@@ -102,3 +102,9 @@ val iter_events : t -> (event -> unit) -> unit
 val dropped_events : t -> int
 (** Span calls beyond [max_events] whose individual events were dropped
     (their aggregates are still counted). *)
+
+val host : unit -> Json.value
+(** The host a profile or benchmark ran on, as the ["host"] object of
+    [scdsim prof --json] and bench [--json]: [ocaml] (version), [word_size],
+    [os_type] and [recommended_domains]. Allocation counts compare only
+    across runs with the same runtime and word size. *)

@@ -109,10 +109,6 @@ let probe_target t ~jte ~key =
   let slot = find_slot t ~jte ~key in
   if slot < 0 then no_target else t.targets.(slot)
 
-let probe t ~jte ~key =
-  let target = probe_target t ~jte ~key in
-  if target == no_target then None else Some target
-
 (* The hot entry point: one flat scan, a stats bump and (on a hit) an LRU
    touch — no option or tuple is ever allocated. *)
 let lookup_target t ~jte ~key =
@@ -126,10 +122,6 @@ let lookup_target t ~jte ~key =
     touch t slot;
     t.targets.(slot)
   end
-
-let lookup t ~jte ~key =
-  let target = lookup_target t ~jte ~key in
-  if target == no_target then None else Some target
 
 (* Victim eligibility classes for [pick_victim]: any way, JTE ways only, or
    non-JTE ways only. An int tag instead of a closure keeps the victim scan

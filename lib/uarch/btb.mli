@@ -57,20 +57,13 @@ val no_target : int
     ([min_int], outside the simulated address space). *)
 
 val lookup_target : t -> jte:bool -> key:int -> int
-(** Allocation-free form of {!lookup}: predicted/stored target on a tag hit
-    in the requested namespace, {!no_target} on a miss. Updates stats and
-    LRU state. *)
+(** The predicted/stored target on a tag hit in the requested namespace,
+    {!no_target} on a miss; allocates nothing. Updates stats and LRU
+    state. *)
 
 val probe_target : t -> jte:bool -> key:int -> int
 (** As {!lookup_target} but with no stats or replacement-state side
     effects. *)
-
-val lookup : t -> jte:bool -> key:int -> int option
-(** Boxing shim over {!lookup_target}; prefer the sentinel form on hot
-    paths. *)
-
-val probe : t -> jte:bool -> key:int -> int option
-(** Boxing shim over {!probe_target}. *)
 
 val insert : t -> jte:bool -> key:int -> target:int -> unit
 (** Install or update an entry. Honours JTE priority and the JTE cap. *)

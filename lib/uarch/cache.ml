@@ -4,7 +4,6 @@ type geometry = {
   size_bytes : int;
   ways : int;
   block_bytes : int;
-  hit_latency : int;
 }
 
 (* Struct-of-arrays storage: way [w] of set [s] lives at slot [s * ways + w]

@@ -14,8 +14,9 @@ type geometry = {
   size_bytes : int;
   ways : int;
   block_bytes : int;
-  hit_latency : int;  (** Cycles for a hit (informational). *)
 }
+(** No hit latency: an L1 hit is pipelined and costs no cycle, and the
+    pipeline charges an L2 hit [Config.l2_latency]. *)
 
 type t
 

@@ -20,7 +20,6 @@ type t = {
   tlb_penalty : int;
   l2_latency : int;
   mem_latency : int;
-  clock_mhz : int;
 }
 
 let simulator =
@@ -47,8 +46,10 @@ let simulator =
     btb_replacement = Btb.Round_robin;
     jte_cap = None;
     ras_depth = 8;
-    icache = { size_bytes = 16 * 1024; ways = 2; block_bytes = 64; hit_latency = 2 };
-    dcache = { size_bytes = 32 * 1024; ways = 4; block_bytes = 64; hit_latency = 2 };
+    (* L1 hits are pipelined and cost no cycle; an L1 miss pays
+       [l2_latency] on an L2 hit, plus [mem_latency] when it reaches DRAM. *)
+    icache = { size_bytes = 16 * 1024; ways = 2; block_bytes = 64 };
+    dcache = { size_bytes = 32 * 1024; ways = 4; block_bytes = 64 };
     l2 = None;
     itlb_entries = 10;
     dtlb_entries = 10;
@@ -56,7 +57,6 @@ let simulator =
     l2_latency = 0;
     (* 1 GHz core, DDR3-1600 (CL 11): ~55 ns load-to-use. *)
     mem_latency = 55;
-    clock_mhz = 1000;
   }
 
 let fpga =
@@ -77,8 +77,8 @@ let fpga =
     btb_replacement = Btb.Lru;
     jte_cap = None;
     ras_depth = 2;
-    icache = { size_bytes = 16 * 1024; ways = 4; block_bytes = 64; hit_latency = 1 };
-    dcache = { size_bytes = 16 * 1024; ways = 4; block_bytes = 64; hit_latency = 1 };
+    icache = { size_bytes = 16 * 1024; ways = 4; block_bytes = 64 };
+    dcache = { size_bytes = 16 * 1024; ways = 4; block_bytes = 64 };
     l2 = None;
     itlb_entries = 8;
     dtlb_entries = 8;
@@ -86,7 +86,6 @@ let fpga =
     l2_latency = 0;
     (* 50 MHz core, DDR3-1066: DRAM is only a handful of core cycles away. *)
     mem_latency = 6;
-    clock_mhz = 50;
   }
 
 let high_end =
@@ -95,9 +94,9 @@ let high_end =
     name = "high-end";
     issue_width = 2;
     branch_penalty = 4;
-    icache = { size_bytes = 32 * 1024; ways = 4; block_bytes = 64; hit_latency = 2 };
+    icache = { size_bytes = 32 * 1024; ways = 4; block_bytes = 64 };
     btb_entries = 512;
-    l2 = Some { size_bytes = 256 * 1024; ways = 8; block_bytes = 64; hit_latency = 8 };
+    l2 = Some { size_bytes = 256 * 1024; ways = 8; block_bytes = 64 };
     l2_latency = 8;
     mem_latency = 80;
   }

@@ -37,7 +37,6 @@ type t = {
   tlb_penalty : int;  (** Page-walk cycles on a TLB miss. *)
   l2_latency : int;  (** Added cycles for an L1 miss that hits in L2. *)
   mem_latency : int;  (** Added cycles for a access that reaches DRAM. *)
-  clock_mhz : int;  (** For energy accounting only. *)
 }
 
 val simulator : t

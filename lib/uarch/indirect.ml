@@ -191,13 +191,4 @@ let update_target t ~pc ~hint ~target =
     Btb.insert t.btb ~jte:false ~key:pc ~target;
     s.ghist <- ((s.ghist lsl 3) lxor (target lsr 2)) land Bits.mask 60
 
-let hint_code = function None -> no_hint | Some h -> h
-
-let predict t ~pc ~hint =
-  let target = predict_target t ~pc ~hint:(hint_code hint) in
-  if target == no_target then None else Some target
-
-let update t ~pc ~hint ~target =
-  update_target t ~pc ~hint:(hint_code hint) ~target
-
 let scheme t = t.scheme

@@ -38,10 +38,4 @@ val update_target : t -> pc:int -> hint:int -> target:int -> unit
 (** Allocation-free training with the resolved target (also advances TTC
     path history). *)
 
-val predict : t -> pc:int -> hint:int option -> int option
-(** Boxing shim over {!predict_target}. *)
-
-val update : t -> pc:int -> hint:int option -> target:int -> unit
-(** Shim over {!update_target}. *)
-
 val scheme : t -> scheme

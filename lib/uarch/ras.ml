@@ -28,9 +28,5 @@ let pop_target t =
     t.slots.(t.top)
   end
 
-let pop t =
-  let target = pop_target t in
-  if target == no_target then None else Some target
-
 let depth t = Array.length t.slots
 let occupancy t = t.count

@@ -13,8 +13,5 @@ val pop_target : t -> int
 (** Allocation-free pop: predicted return address, or {!no_target} when
     empty (predict fall-through). *)
 
-val pop : t -> int option
-(** Boxing shim over {!pop_target}; [None] when empty. *)
-
 val depth : t -> int
 val occupancy : t -> int

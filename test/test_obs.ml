@@ -1,6 +1,6 @@
-(* Observability layer: histogram/series math, the JSON validator, probe
-   wiring, and — end to end — that telemetry interval deltas and attribution
-   tables sum exactly to the run's final aggregates. *)
+(* Observability layer: histogram/series math, the JSON printer and
+   parser, probe wiring, and — end to end — that telemetry interval deltas
+   and attribution tables sum exactly to the run's final aggregates. *)
 
 open Scd_obs
 
@@ -141,14 +141,14 @@ let test_attribution () =
       Attribution.add a ~key:4 ~cycles:1 ~instructions:1 ~mispredicts:0)
 
 (* ------------------------------------------------------------------ *)
-(* JSON validator                                                      *)
+(* JSON printer and parser                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_json_valid () =
   List.iter
     (fun s ->
-      match Json.validate s with
-      | Ok () -> ()
+      match Json.parse s with
+      | Ok _ -> ()
       | Error e -> Alcotest.fail (Printf.sprintf "rejected %S: %s" s e))
     [
       "{}"; "[]"; "null"; "true"; "-12.5e3"; "\"a\\nb\\u0041\"";
@@ -159,8 +159,8 @@ let test_json_valid () =
 let test_json_invalid () =
   List.iter
     (fun s ->
-      match Json.validate s with
-      | Ok () -> Alcotest.fail (Printf.sprintf "accepted invalid %S" s)
+      match Json.parse s with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted invalid %S" s)
       | Error _ -> ())
     [
       ""; "{"; "[1,]"; "{\"a\":}"; "{'a': 1}"; "nul"; "01"; "1. 5";
@@ -168,11 +168,96 @@ let test_json_invalid () =
     ]
 
 let test_json_printers () =
+  let printed name expect v =
+    Alcotest.(check string) name expect (Json.to_string v)
+  in
   Alcotest.(check string) "escaping" "\"a\\\"b\\\\c\\n\"" (Json.string "a\"b\\c\n");
-  Alcotest.(check string) "integral float" "42" (Json.number 42.0);
-  Alcotest.(check string) "non-finite becomes null" "null" (Json.number nan);
-  check_bool "escaped string validates" true
-    (Json.validate (Json.string "tab\there\x01") = Ok ())
+  printed "integral float" "42" (Json.Number 42.0);
+  printed "non-finite becomes null" "null" (Json.Number nan);
+  printed "infinity becomes null" "null" (Json.Number infinity);
+  printed "shortest digits" "0.1" (Json.Number 0.1);
+  printed "16 digits" "0.3333333333333333" (Json.Number (1.0 /. 3.0));
+  printed "17 digits" "0.30000000000000004" (Json.Number (0.1 +. 0.2));
+  printed "scalars and empty containers on one line"
+    {|{"a": [], "b": {}, "c": null, "d": true}|}
+    (Json.Object
+       [ ("a", Json.Array []); ("b", Json.Object []); ("c", Json.Null);
+         ("d", Json.Bool true) ]);
+  printed "top two levels break where they nest, deeper ones do not"
+    "{\n  \"h\": {\"k\": 1},\n  \"x\": [\n    {\"k\": [2]}\n  ]\n}"
+    (Json.Object
+       [ ("h", Json.Object [ ("k", Json.int 1) ]);
+         ("x", Json.Array [ Json.Object [ ("k", Json.Array [ Json.int 2 ]) ] ]) ]);
+  check_bool "escaped string parses back" true
+    (Json.parse (Json.string "tab\there\x01") = Ok (Json.String "tab\there\x01"))
+
+(* Strings draw on quotes, backslashes, control characters and bytes above
+   0x7f; numbers are finite, integral or not. *)
+let json_value_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:
+        (oneof
+           [ printable;
+             oneofl
+               [ '"'; '\\'; '\n'; '\r'; '\t'; '\x00'; '\x01'; '\x1f'; '\x7f';
+                 '\xc3'; '\xa9' ] ])
+      (int_bound 8)
+  in
+  let num =
+    oneof
+      [ map float_of_int int;
+        map (fun i -> float_of_int i /. 1000.0) small_signed_int;
+        map (fun f -> if Float.is_finite f then f else 0.0) float ]
+  in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun x -> Json.Number x) num; map (fun s -> Json.String s) str ]
+  in
+  sized
+    (fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               ( 1,
+                 map (fun l -> Json.Array l)
+                   (list_size (int_bound 4) (self (n / 2))) );
+               ( 1,
+                 map (fun l -> Json.Object l)
+                   (list_size (int_bound 4) (pair str (self (n / 2)))) ) ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.to_string json_value_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+(* Perfbench hands add_other its metrics as %.17g text: each number must
+   reach the trace as the same float. *)
+let test_chrome_trace_add_other () =
+  let tr = Chrome_trace.create () in
+  Chrome_trace.complete tr ~name:"run" ~ts:1 ~dur:2;
+  let v = 0.1 +. 0.2 in
+  Chrome_trace.add_other tr ~key:"metrics"
+    ~json:(Printf.sprintf {|{"m": {"value": %.17g, "unit": "s"}}|} v);
+  (match Json.parse (Chrome_trace.contents tr) with
+   | Error e -> Alcotest.fail ("trace rejected: " ^ e)
+   | Ok doc ->
+     check_int "two metadata events and the slice" 3
+       (List.length
+          (Option.get (Option.bind (Json.member "traceEvents" doc) Json.get_list)));
+     let metric =
+       Option.bind (Json.member "otherData" doc) (Json.member "metrics")
+       |> Fun.flip Option.bind (Json.member "m")
+     in
+     check_bool "the same float" true
+       (Option.bind (Option.bind metric (Json.member "value")) Json.get_number
+        = Some v));
+  match Chrome_trace.add_other tr ~key:"bad" ~json:"{" with
+  | () -> Alcotest.fail "malformed JSON accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_json_surrogates () =
   let decodes doc expect =
@@ -237,11 +322,12 @@ let test_json_parse_accessors () =
     check_bool "get_string on number" true (Json.get_string (Json.Number 1.0) = None)
 
 let test_json_parse_roundtrips_own_emitters () =
-  (* Documents built with the emission helpers must come back intact. *)
+  (* Documents printed by to_string must come back intact. *)
   let doc =
-    Printf.sprintf "{ \"s\": %s, \"n\": %s, \"i\": %s }"
-      (Json.string "tab\there \x01 quote\"")
-      (Json.number 2.5) (Json.int (-7))
+    Json.to_string
+      (Json.Object
+         [ ("s", Json.String "tab\there \x01 quote\""); ("n", Json.Number 2.5);
+           ("i", Json.int (-7)) ])
   in
   match Json.parse doc with
   | Error e -> Alcotest.fail ("emitted JSON rejected: " ^ e)
@@ -347,7 +433,7 @@ let test_btb_jte_flush_accounting () =
   check_int "flush is not an eviction" evictions_before
     (Btb.stats b).Btb.jte_evictions;
   check_bool "branch entry survives the flush" true
-    (Btb.probe b ~jte:false ~key:(100 lsl 2) <> None);
+    (Btb.probe_target b ~jte:false ~key:(100 lsl 2) <> Btb.no_target);
   (* The overlay refills from scratch after a flush. *)
   Btb.insert b ~jte:true ~key:(0 lsl 2) ~target:0;
   check_int "refills after flush" 1 (Btb.jte_population b)
@@ -494,8 +580,8 @@ let test_telemetry_chrome_trace_validates () =
     (fun scheme ->
       let tel, _ = run_with_telemetry ?context_switch_interval:(Some 20_000) scheme in
       let json = Telemetry.to_chrome_trace tel in
-      (match Scd_obs.Json.validate json with
-      | Ok () -> ()
+      (match Scd_obs.Json.parse json with
+      | Ok _ -> ()
       | Error e ->
         Alcotest.fail
           (Printf.sprintf "%s trace JSON invalid: %s"
@@ -764,26 +850,6 @@ let test_budget_missing_micro_fails () =
      = Budget.Missing);
   check_bool "Missing fails the gate" false (Budget.ok vs)
 
-let test_budget_check_report () =
-  let report =
-    {|{"schema_version": 5,
-       "micro": [
-         {"name": "hot-kernel", "ns_per_run": 12.0, "minor_words_per_run": 6000},
-         {"name": "zero-kernel", "minor_words_per_run": 0},
-         {"name": "unbudgeted-extra", "minor_words_per_run": 1e9}]}|}
-  in
-  (match Budget.check_report ~budgets:test_budgets report with
-   | Error e -> Alcotest.fail ("report rejected: " ^ e)
-   | Ok vs ->
-     check_int "one verdict per budget entry" 2 (List.length vs);
-     check_bool "report passes" true (Budget.ok vs));
-  (match Budget.check_report ~budgets:test_budgets "{ not json" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "malformed JSON accepted");
-  match Budget.check_report ~budgets:test_budgets {|{"schema_version": 5}|} with
-  | Error e -> check_bool "error names the missing array" true (contains ~needle:"micro" e)
-  | Ok _ -> Alcotest.fail "report without micro array accepted"
-
 let test_budget_checked_in_table () =
   (* the real table: names unique, ceilings non-negative, find agrees *)
   let names = List.map (fun (e : Budget.entry) -> e.Budget.name) Budget.table in
@@ -833,6 +899,9 @@ let () =
           Alcotest.test_case "printers" `Quick test_json_printers;
           Alcotest.test_case "surrogate pairs" `Quick test_json_surrogates;
           Alcotest.test_case "parse accessors" `Quick test_json_parse_accessors;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "chrome trace add_other" `Quick
+            test_chrome_trace_add_other;
           Alcotest.test_case "parse roundtrips emitters" `Quick
             test_json_parse_roundtrips_own_emitters;
         ] );
@@ -858,7 +927,6 @@ let () =
           Alcotest.test_case "pass and fail" `Quick test_budget_pass_fail;
           Alcotest.test_case "missing micro fails" `Quick
             test_budget_missing_micro_fails;
-          Alcotest.test_case "check_report" `Quick test_budget_check_report;
           Alcotest.test_case "checked-in table" `Quick
             test_budget_checked_in_table;
         ] );

@@ -10,16 +10,16 @@ let check_bool = Alcotest.(check bool)
 
 let test_btb_hit_miss () =
   let b = Btb.create ~entries:16 ~ways:2 ~replacement:Lru () in
-  check_bool "cold miss" true (Btb.lookup b ~jte:false ~key:0x1000 = None);
+  check_int "cold miss" Btb.no_target (Btb.lookup_target b ~jte:false ~key:0x1000);
   Btb.insert b ~jte:false ~key:0x1000 ~target:0x2000;
-  Alcotest.(check (option int)) "hit" (Some 0x2000) (Btb.lookup b ~jte:false ~key:0x1000)
+  check_int "hit" 0x2000 (Btb.lookup_target b ~jte:false ~key:0x1000)
 
 let test_btb_namespaces_disjoint () =
   let b = Btb.create ~entries:16 ~ways:2 ~replacement:Lru () in
   Btb.insert b ~jte:false ~key:0x40 ~target:1;
   Btb.insert b ~jte:true ~key:0x40 ~target:2;
-  Alcotest.(check (option int)) "branch entry" (Some 1) (Btb.lookup b ~jte:false ~key:0x40);
-  Alcotest.(check (option int)) "jte entry" (Some 2) (Btb.lookup b ~jte:true ~key:0x40)
+  check_int "branch entry" 1 (Btb.lookup_target b ~jte:false ~key:0x40);
+  check_int "jte entry" 2 (Btb.lookup_target b ~jte:true ~key:0x40)
 
 let test_btb_jte_priority () =
   (* a 1-set 2-way table: JTEs may evict branch entries, not vice versa *)
@@ -46,25 +46,25 @@ let test_btb_flush_jtes () =
   Btb.insert b ~jte:false ~key:0x100 ~target:2;
   Btb.flush_jtes b;
   check_int "no jtes" 0 (Btb.jte_population b);
-  Alcotest.(check (option int)) "jte gone" None (Btb.probe b ~jte:true ~key:0x8);
-  Alcotest.(check (option int)) "branch survives" (Some 2)
-    (Btb.probe b ~jte:false ~key:0x100)
+  check_int "jte gone" Btb.no_target (Btb.probe_target b ~jte:true ~key:0x8);
+  check_int "branch survives" 2 (Btb.probe_target b ~jte:false ~key:0x100)
 
 let test_btb_lru_replacement () =
   let b = Btb.create ~entries:2 ~ways:2 ~replacement:Lru () in
   Btb.insert b ~jte:false ~key:0x10 ~target:1;
   Btb.insert b ~jte:false ~key:0x20 ~target:2;
-  ignore (Btb.lookup b ~jte:false ~key:0x10); (* refresh first entry *)
+  ignore (Btb.lookup_target b ~jte:false ~key:0x10); (* refresh first entry *)
   Btb.insert b ~jte:false ~key:0x30 ~target:3; (* evicts 0x20 *)
-  check_bool "refreshed survives" true (Btb.probe b ~jte:false ~key:0x10 <> None);
-  check_bool "lru victim gone" true (Btb.probe b ~jte:false ~key:0x20 = None)
+  check_bool "refreshed survives" true
+    (Btb.probe_target b ~jte:false ~key:0x10 <> Btb.no_target);
+  check_int "lru victim gone" Btb.no_target
+    (Btb.probe_target b ~jte:false ~key:0x20)
 
 let test_btb_update_existing () =
   let b = Btb.create ~entries:16 ~ways:2 ~replacement:Round_robin () in
   Btb.insert b ~jte:false ~key:0x10 ~target:1;
   Btb.insert b ~jte:false ~key:0x10 ~target:9;
-  Alcotest.(check (option int)) "target updated" (Some 9)
-    (Btb.probe b ~jte:false ~key:0x10)
+  check_int "target updated" 9 (Btb.probe_target b ~jte:false ~key:0x10)
 
 let test_btb_bad_geometry () =
   Alcotest.check_raises "non-multiple"
@@ -92,13 +92,13 @@ let test_btb_rr_fill_advances_pointer () =
   (* the set is full again; the next JTE's victim must be the *oldest*
      entry (a branch way), not the JTE installed two inserts ago *)
   Btb.insert b ~jte:true ~key:(jkey 6) ~target:16;
-  Alcotest.(check (option int)) "fresh JTE survives the conflict" (Some 14)
-    (Btb.probe b ~jte:true ~key:(jkey 4));
-  Alcotest.(check (option int)) "second fresh JTE survives too" (Some 15)
-    (Btb.probe b ~jte:true ~key:(jkey 5));
+  check_int "fresh JTE survives the conflict" 14
+    (Btb.probe_target b ~jte:true ~key:(jkey 4));
+  check_int "second fresh JTE survives too" 15
+    (Btb.probe_target b ~jte:true ~key:(jkey 5));
   check_bool "a branch way was the victim" true
-    (Btb.probe b ~jte:false ~key:(bkey 2) = None
-     || Btb.probe b ~jte:false ~key:(bkey 3) = None);
+    (Btb.probe_target b ~jte:false ~key:(bkey 2) = Btb.no_target
+     || Btb.probe_target b ~jte:false ~key:(bkey 3) = Btb.no_target);
   check_int "victim accounted as a branch eviction" 1
     (Btb.stats b).branch_entries_evicted_by_jte;
   check_int "no JTE eviction on the refill path" 0
@@ -144,7 +144,7 @@ let prop_btb_auditor_accepts_random_sequences =
         (fun i (jte, k) ->
           if i mod 9 = 8 then Btb.flush_jtes b
           else if k land 1 = 0 then Btb.insert b ~jte ~key:(k lsl 2) ~target:k
-          else ignore (Btb.lookup b ~jte ~key:(k lsl 2));
+          else ignore (Btb.lookup_target b ~jte ~key:(k lsl 2));
           match Scd_check.Audit.run b with
           | () -> ()
           | exception Scd_check.Audit.Violation m -> QCheck.Test.fail_report m)
@@ -161,7 +161,8 @@ let prop_btb_population_invariant =
         operations;
       let resident = ref 0 in
       for k = 0 to 255 do
-        if Btb.probe b ~jte:true ~key:(k lsl 2) <> None then incr resident
+        if Btb.probe_target b ~jte:true ~key:(k lsl 2) <> Btb.no_target then
+          incr resident
       done;
       Btb.jte_population b = !resident && Btb.jte_population b <= 16)
 
@@ -239,54 +240,56 @@ let test_ras_lifo () =
   let r = Ras.create ~depth:4 in
   Ras.push r 1;
   Ras.push r 2;
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Ras.pop r);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Ras.pop r);
-  Alcotest.(check (option int)) "empty" None (Ras.pop r)
+  check_int "pop 2" 2 (Ras.pop_target r);
+  check_int "pop 1" 1 (Ras.pop_target r);
+  check_int "empty" Ras.no_target (Ras.pop_target r)
 
 let test_ras_overflow_wraps () =
   let r = Ras.create ~depth:2 in
   Ras.push r 1;
   Ras.push r 2;
   Ras.push r 3; (* overwrites 1 *)
-  Alcotest.(check (option int)) "top" (Some 3) (Ras.pop r);
-  Alcotest.(check (option int)) "next" (Some 2) (Ras.pop r);
-  Alcotest.(check (option int)) "oldest lost" None (Ras.pop r)
+  check_int "top" 3 (Ras.pop_target r);
+  check_int "next" 2 (Ras.pop_target r);
+  check_int "oldest lost" Ras.no_target (Ras.pop_target r)
 
 (* Block testbench: named boundary cases, then a reference model. *)
 
+let empty = Ras.no_target
+
 let check_pops name expected r =
-  Alcotest.(check (list (option int)))
+  Alcotest.(check (list int))
     name expected
-    (List.map (fun _ -> Ras.pop r) expected)
+    (List.map (fun _ -> Ras.pop_target r) expected)
 
 let test_ras_empty_pop () =
   let r = Ras.create ~depth:3 in
   check_int "the sentinel on a fresh stack" Ras.no_target (Ras.pop_target r);
   Ras.push r 7;
-  check_pops "drained, then empty" [ Some 7; None; None ] r;
+  check_pops "drained, then empty" [ 7; empty; empty ] r;
   check_int "an empty pop leaves occupancy at zero" 0 (Ras.occupancy r);
   Ras.push r 8;
-  check_pops "usable after empty pops" [ Some 8; None ] r
+  check_pops "usable after empty pops" [ 8; empty ] r
 
 let test_ras_exactly_full () =
   let r = Ras.create ~depth:3 in
   List.iter (Ras.push r) [ 1; 2; 3 ];
   check_int "full" 3 (Ras.occupancy r);
-  check_pops "every entry survives, newest first" [ Some 3; Some 2; Some 1; None ] r
+  check_pops "every entry survives, newest first" [ 3; 2; 1; empty ] r
 
 let test_ras_one_past_full () =
   let r = Ras.create ~depth:3 in
   List.iter (Ras.push r) [ 1; 2; 3; 4 ];
   check_int "occupancy saturates at the depth" 3 (Ras.occupancy r);
-  check_pops "the oldest entry is overwritten" [ Some 4; Some 3; Some 2; None ] r
+  check_pops "the oldest entry is overwritten" [ 4; 3; 2; empty ] r
 
 let test_ras_pop_after_wrap () =
   (* the top index wraps past the end of the slots and back *)
   let r = Ras.create ~depth:3 in
   List.iter (Ras.push r) [ 1; 2; 3; 4; 5 ];
-  check_pops "two pops across the wrap" [ Some 5; Some 4 ] r;
+  check_pops "two pops across the wrap" [ 5; 4 ] r;
   List.iter (Ras.push r) [ 6; 7 ];
-  check_pops "refilled over the wrap point" [ Some 7; Some 6; Some 3; None ] r
+  check_pops "refilled over the wrap point" [ 7; 6; 3; empty ] r
 
 (* Reference: a list, newest first, truncated to the depth on every push
    (overwriting the oldest entry). *)
@@ -329,7 +332,7 @@ let prop_ras_matches_reference =
 (* Cache and TLB                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let small_geometry = { Cache.size_bytes = 256; ways = 2; block_bytes = 64; hit_latency = 1 }
+let small_geometry = { Cache.size_bytes = 256; ways = 2; block_bytes = 64 }
 
 let test_cache_hit_after_miss () =
   let c = Cache.create small_geometry in
@@ -360,7 +363,7 @@ let test_cache_bad_geometry () =
   Alcotest.check_raises "block size"
     (Invalid_argument "Cache.create: block size must be a power of two")
     (fun () ->
-      ignore (Cache.create { small_geometry with size_bytes = 240; block_bytes = 60; ways = 1 }))
+      ignore (Cache.create { Cache.size_bytes = 240; ways = 1; block_bytes = 60 }))
 
 (* The per-set MRU-way short-circuit must change nothing observable: replay
    a conflict-heavy random access stream against a reference model of the
@@ -370,7 +373,7 @@ let test_cache_bad_geometry () =
    end every reference-resident block must still be present. *)
 let test_cache_mru_matches_reference_lru () =
   let geometry =
-    { Cache.size_bytes = 512; ways = 4; block_bytes = 32; hit_latency = 1 }
+    { Cache.size_bytes = 512; ways = 4; block_bytes = 32 }
   in
   let sets = 4 (* 512 / 32 blocks / 4 ways *) and ways = 4 in
   let set_shift = 2 and block_shift = 5 in
@@ -449,6 +452,97 @@ let prop_cache_never_exceeds_capacity =
         if Cache.contains c ~addr:(block * 64) then incr resident
       done;
       !resident <= 4)
+
+(* Cache block testbench: named cases on a 4-set cache of 64-byte blocks.
+   [blk ~set tag] is block [tag] of set [set]; every case is also what a
+   plain scan-and-LRU cache answers, so the MRU-way check must change
+   none of them. *)
+let tb_cache ~ways =
+  Cache.create { Cache.size_bytes = 4 * ways * 64; ways; block_bytes = 64 }
+
+let blk ?(offset = 0) ~set tag = (64 * ((4 * tag) + set)) + offset
+let accesses c addrs = List.map (fun addr -> Cache.access c ~addr) addrs
+
+let check_accesses name expected got =
+  let show = List.map (function `Hit -> "hit" | `Miss -> "miss") in
+  Alcotest.(check (list string)) name (show expected) (show got)
+
+let check_resident c name ~set tags expected =
+  List.iter
+    (fun tag ->
+      check_bool (Printf.sprintf "%s: tag %d" name tag) expected
+        (Cache.contains c ~addr:(blk ~set tag)))
+    tags
+
+let test_cache_tb_hit_after_fill () =
+  let c = tb_cache ~ways:2 in
+  check_accesses "the fill misses, then the block's first and last bytes hit"
+    [ `Miss; `Hit; `Hit ]
+    (accesses c [ blk ~set:1 7; blk ~set:1 7; blk ~offset:63 ~set:1 7 ]);
+  check_resident c "resident" ~set:1 [ 7 ] true
+
+let test_cache_tb_second_way () =
+  (* the second tag fills the invalid way instead of evicting the first *)
+  let c = tb_cache ~ways:2 in
+  check_accesses "both tags fill, then both hit" [ `Miss; `Miss; `Hit; `Hit ]
+    (accesses c [ blk ~set:2 1; blk ~set:2 2; blk ~set:2 1; blk ~set:2 2 ]);
+  check_resident c "both ways resident" ~set:2 [ 1; 2 ] true
+
+let test_cache_tb_exactly_full () =
+  let c = tb_cache ~ways:4 in
+  let tags = [ 0; 1; 2; 3 ] in
+  check_accesses "four fills" [ `Miss; `Miss; `Miss; `Miss ]
+    (accesses c (List.map (blk ~set:3) tags));
+  check_accesses "every way survives" [ `Hit; `Hit; `Hit; `Hit ]
+    (accesses c (List.map (blk ~set:3) (List.rev tags)))
+
+let test_cache_tb_one_past_full () =
+  let c = tb_cache ~ways:4 in
+  ignore (accesses c (List.map (blk ~set:0) [ 0; 1; 2; 3 ]));
+  check_accesses "a fifth tag misses" [ `Miss ] (accesses c [ blk ~set:0 4 ]);
+  check_resident c "the LRU way is evicted" ~set:0 [ 0 ] false;
+  check_resident c "the other ways stay" ~set:0 [ 1; 2; 3; 4 ] true;
+  check_accesses "the next fill evicts the next oldest" [ `Miss ]
+    (accesses c [ blk ~set:0 0 ]);
+  check_resident c "second victim" ~set:0 [ 1 ] false
+
+let test_cache_tb_scan_hit_refreshes () =
+  (* A fills, B fills, A hits through the way scan (B is the MRU way) *)
+  let c = tb_cache ~ways:2 in
+  let a = blk ~set:3 0 and b = blk ~set:3 1 in
+  check_accesses "fills, a scan hit, a third tag" [ `Miss; `Miss; `Hit; `Miss ]
+    (accesses c [ a; b; a; blk ~set:3 2 ]);
+  check_bool "the other way is the victim" false (Cache.contains c ~addr:b);
+  check_bool "the hit way stays" true (Cache.contains c ~addr:a)
+
+let test_cache_tb_mru_hit_refreshes () =
+  (* A fills, B fills, A hits through the way scan and becomes the MRU
+     way, then hits twice through the MRU-way check: B is the LRU way *)
+  let c = tb_cache ~ways:2 in
+  let a = blk ~set:1 0 and b = blk ~set:1 1 and d = blk ~set:1 2 in
+  check_accesses "fills and hits" [ `Miss; `Miss; `Hit; `Hit; `Hit ]
+    (accesses c [ a; b; a; a; a ]);
+  check_accesses "a third tag misses" [ `Miss ] (accesses c [ d ]);
+  check_bool "the other way is the victim" false (Cache.contains c ~addr:b);
+  check_bool "the MRU way stays" true (Cache.contains c ~addr:a);
+  (* and the same through the MRU check alone: d is now the MRU way *)
+  check_accesses "the MRU way hits" [ `Hit; `Miss ] (accesses c [ d; b ]);
+  check_bool "a was the LRU way" false (Cache.contains c ~addr:a)
+
+let test_cache_tb_sets_independent () =
+  let c = tb_cache ~ways:2 in
+  ignore (accesses c [ blk ~set:1 0; blk ~set:1 1 ]);
+  (* churn the neighbouring sets past their capacity *)
+  ignore
+    (accesses c
+       (List.concat_map
+          (fun tag -> [ blk ~set:0 tag; blk ~set:2 tag ])
+          [ 0; 1; 2; 3; 4 ]));
+  check_accesses "set 1 keeps both ways" [ `Hit; `Hit ]
+    (accesses c [ blk ~set:1 0; blk ~set:1 1 ]);
+  check_resident c "set 0 holds its two newest" ~set:0 [ 3; 4 ] true;
+  check_resident c "set 2 holds its two newest" ~set:2 [ 3; 4 ] true;
+  check_resident c "set 3 is untouched" ~set:3 [ 0; 1; 2; 3; 4 ] false
 
 let test_tlb () =
   let t = Tlb.create ~entries:2 in
@@ -576,22 +670,19 @@ let test_vbbi_separates_hints () =
   let btb = Btb.create ~entries:256 ~ways:2 ~replacement:Lru () in
   let vbbi = Indirect.create Vbbi btb in
   let pc = 0x4000 in
-  Indirect.update vbbi ~pc ~hint:(Some 1) ~target:0x100;
-  Indirect.update vbbi ~pc ~hint:(Some 2) ~target:0x200;
-  Alcotest.(check (option int)) "hint 1" (Some 0x100)
-    (Indirect.predict vbbi ~pc ~hint:(Some 1));
-  Alcotest.(check (option int)) "hint 2" (Some 0x200)
-    (Indirect.predict vbbi ~pc ~hint:(Some 2))
+  Indirect.update_target vbbi ~pc ~hint:1 ~target:0x100;
+  Indirect.update_target vbbi ~pc ~hint:2 ~target:0x200;
+  check_int "hint 1" 0x100 (Indirect.predict_target vbbi ~pc ~hint:1);
+  check_int "hint 2" 0x200 (Indirect.predict_target vbbi ~pc ~hint:2)
 
 let test_pc_btb_conflates_targets () =
   let btb = Btb.create ~entries:256 ~ways:2 ~replacement:Lru () in
   let p = Indirect.create Pc_btb btb in
   let pc = 0x4000 in
-  Indirect.update p ~pc ~hint:(Some 1) ~target:0x100;
-  Indirect.update p ~pc ~hint:(Some 2) ~target:0x200;
-  Alcotest.(check (option int)) "last target wins regardless of hint"
-    (Some 0x200)
-    (Indirect.predict p ~pc ~hint:(Some 1))
+  Indirect.update_target p ~pc ~hint:1 ~target:0x100;
+  Indirect.update_target p ~pc ~hint:2 ~target:0x200;
+  check_int "last target wins regardless of hint" 0x200
+    (Indirect.predict_target p ~pc ~hint:1)
 
 let test_ttc_uses_history () =
   (* in a steady loop the path history cycles, so after a training pass the
@@ -601,8 +692,9 @@ let test_ttc_uses_history () =
   let pc = 0x4000 in
   let hits = ref 0 in
   for _ = 1 to 64 do
-    if Indirect.predict t ~pc ~hint:None = Some 0x100 then incr hits;
-    Indirect.update t ~pc ~hint:None ~target:0x100
+    if Indirect.predict_target t ~pc ~hint:Indirect.no_hint = 0x100 then
+      incr hits;
+    Indirect.update_target t ~pc ~hint:Indirect.no_hint ~target:0x100
   done;
   check_bool "hits once history repeats" true (!hits > 32)
 
@@ -612,8 +704,9 @@ let test_ittage_monomorphic () =
   let pc = 0x4000 in
   let hits = ref 0 in
   for _ = 1 to 50 do
-    if Indirect.predict p ~pc ~hint:None = Some 0x100 then incr hits;
-    Indirect.update p ~pc ~hint:None ~target:0x100
+    if Indirect.predict_target p ~pc ~hint:Indirect.no_hint = 0x100 then
+      incr hits;
+    Indirect.update_target p ~pc ~hint:Indirect.no_hint ~target:0x100
   done;
   check_bool "monomorphic target learned" true (!hits >= 45)
 
@@ -627,9 +720,9 @@ let test_ittage_beats_btb_on_alternation () =
     let correct = ref 0 in
     for i = 0 to 399 do
       let target = if i land 1 = 0 then 0x100 else 0x200 in
-      if i >= 200 && Indirect.predict p ~pc ~hint:None = Some target then
-        incr correct;
-      Indirect.update p ~pc ~hint:None ~target
+      if i >= 200 && Indirect.predict_target p ~pc ~hint:Indirect.no_hint = target
+      then incr correct;
+      Indirect.update_target p ~pc ~hint:Indirect.no_hint ~target
     done;
     !correct
   in
@@ -1178,6 +1271,19 @@ let () =
           Alcotest.test_case "mru way matches reference lru" `Quick
             test_cache_mru_matches_reference_lru;
           QCheck_alcotest.to_alcotest prop_cache_never_exceeds_capacity;
+          Alcotest.test_case "tb: hit after fill" `Quick
+            test_cache_tb_hit_after_fill;
+          Alcotest.test_case "tb: same set takes the second way" `Quick
+            test_cache_tb_second_way;
+          Alcotest.test_case "tb: exactly full" `Quick test_cache_tb_exactly_full;
+          Alcotest.test_case "tb: one past full" `Quick
+            test_cache_tb_one_past_full;
+          Alcotest.test_case "tb: scan hit refreshes recency" `Quick
+            test_cache_tb_scan_hit_refreshes;
+          Alcotest.test_case "tb: mru hit refreshes recency" `Quick
+            test_cache_tb_mru_hit_refreshes;
+          Alcotest.test_case "tb: sets independent" `Quick
+            test_cache_tb_sets_independent;
           Alcotest.test_case "tlb" `Quick test_tlb;
         ] );
       ( "tlb",
