@@ -231,4 +231,5 @@ let to_chrome_trace ?(process_name = "scdsim") t =
     (attribution_object ~name_of:string_of_int t.opcode_attr);
   other "cycles_per_bytecode" (histogram_object t.cycles_per_bytecode);
   other "mispredict_burst_lengths" (histogram_object t.burst_lengths);
+  other "timeline" (Json.String "simulated cycles (not host time)");
   Chrome_trace.contents tr

@@ -78,6 +78,6 @@ val to_csv : t -> string
 val to_chrome_trace : ?process_name:string -> t -> string
 (** Chrome trace-event JSON (JSON Object Format): counter events per sample
     with the simulated cycle count as timestamp, instant events for
-    intervals that saw JTE flushes, and the attribution tables plus
-    histogram summaries under ["otherData"]. Loadable in [chrome://tracing]
-    and Perfetto. *)
+    intervals that saw JTE flushes, and under ["otherData"] the attribution
+    tables, histogram summaries and a ["timeline"] note (simulated cycles).
+    Loadable in [chrome://tracing] and Perfetto. *)

@@ -36,10 +36,10 @@ let run_multi_table ~quick =
       (fun w ->
         [ Sweep.cell ~scale "js" Scd_core.Scheme.Baseline w;
           Sweep.cell ~scale "js" Scd_core.Scheme.Scd w;
-          Sweep.cell_custom ~tag:"multi-js"
+          Sweep.of_config ~scale
             { (lua_config Scd_core.Scheme.Scd) with frontend = Frontend.get "js";
               multi_table = true }
-            w scale ])
+            w ])
       [ Sweep.speedup_column "scd speedup" 1;
         Sweep.speedup_column "multi-table speedup" 2;
         bop_hit "bop hit (1 table)" 1; bop_hit "bop hit (3 tables)" 2 ];
@@ -65,20 +65,18 @@ let run_bop_policy ~quick =
       [ 3; 5; 7; 9 ]
   in
   let policy_name = function `Stall -> "stall" | `Fall_through -> "fall" in
-  (* Per point, a (baseline, SCD) pair of cells in each row. *)
+  (* Per point, a (baseline, SCD) pair of cells in each row. A baseline runs
+     no bop, so neither knob moves it: every point shares the simulator's. *)
   let rows =
     Sweep.rows (fun w ->
         List.concat_map
           (fun (gap, policy) ->
-            let machine =
-              { Config.simulator with rop_gap = gap; bop_policy = policy }
-            in
-            [ Sweep.cell ~machine:{ machine with bop_policy = `Stall } ~scale "lua"
-                Scd_core.Scheme.Baseline w;
-              Sweep.cell_custom
-                ~tag:(Printf.sprintf "bop-%d-%s" gap (policy_name policy))
-                { (lua_config Scd_core.Scheme.Scd) with machine }
-                w scale ])
+            [ Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w;
+              Sweep.of_config ~scale
+                { (lua_config Scd_core.Scheme.Scd) with
+                  machine =
+                    { Config.simulator with rop_gap = gap; bop_policy = policy } }
+                w ])
           points)
   in
   let table =
@@ -129,10 +127,10 @@ let run_context_switch ~quick =
            ( "flush@" ^ name interval,
              fun w ->
                ( Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w,
-                 Sweep.cell_custom ~tag:("cs-" ^ name interval)
+                 Sweep.of_config ~scale
                    { (lua_config Scd_core.Scheme.Scd) with
                      context_switch_interval = interval }
-                   w scale ) ))
+                   w ) ))
          [ Some 10_000; Some 50_000; Some 250_000; None ]);
   ]
 
@@ -164,13 +162,10 @@ let run_indirect ~quick =
     Sweep.rows (fun w ->
         Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w
         :: List.map
-             (fun (label, scheme, indirect_override) ->
-               match indirect_override with
-               | None -> Sweep.cell ~scale "lua" scheme w
-               | Some _ ->
-                 Sweep.cell_custom ~tag:("ind-" ^ label)
-                   { (lua_config scheme) with indirect_override }
-                   w scale)
+             (fun (_, scheme, indirect_override) ->
+               Sweep.of_config ~scale
+                 { (lua_config scheme) with indirect_override }
+                 w)
              contenders)
   in
   let table =
@@ -217,10 +212,8 @@ let run_cap_search ~quick =
         Sweep.cell ~machine:small ~scale "lua" Scd_core.Scheme.Baseline w
         :: List.map
              (fun cap ->
-               Sweep.cell_custom ~tag:("capsearch-" ^ cap_name cap)
-                 { (lua_config Scd_core.Scheme.Scd) with
-                   machine = Config.with_jte_cap small cap }
-                 w scale)
+               Sweep.cell ~machine:(Config.with_jte_cap small cap) ~scale "lua"
+                 Scd_core.Scheme.Scd w)
              caps)
   in
   let table =
@@ -269,13 +262,13 @@ let run_superinstructions ~quick =
         "Ablation: superinstructions (Ertl & Gregg) vs and combined with SCD, Lua"
       (fun w ->
         [ Sweep.cell ~scale "lua" Scd_core.Scheme.Baseline w;
-          Sweep.cell_custom ~tag:"super-base"
+          Sweep.of_config ~scale
             { (lua_config Scd_core.Scheme.Baseline) with superinstructions = true }
-            w scale;
+            w;
           Sweep.cell ~scale "lua" Scd_core.Scheme.Scd w;
-          Sweep.cell_custom ~tag:"super-scd"
+          Sweep.of_config ~scale
             { (lua_config Scd_core.Scheme.Scd) with superinstructions = true }
-            w scale ])
+            w ])
       [ Sweep.speedup_column "super speedup" 1;
         Sweep.speedup_column "scd speedup" 2;
         Sweep.speedup_column "scd+super speedup" 3;
@@ -316,9 +309,9 @@ let run_replication ~quick =
              ( n,
                fun w ->
                  ( Sweep.cell ~machine ~scale "lua" Scd_core.Scheme.Baseline w,
-                   Sweep.cell_custom ~tag:(Printf.sprintf "repl-%s-%d" n btb)
+                   Sweep.of_config ~scale
                      { (lua_config scheme) with machine; bytecode_replication = repl }
-                     w scale ) ))
+                     w ) ))
            variants))
     [ ("256-entry BTB", 256); ("64-entry BTB", 64) ]
 

@@ -1,13 +1,13 @@
 (** Persistent sweep cache: one {!Scd_cosim.Result} codec file per cell.
 
     The store is the disk layer beneath {!Sweep}'s in-process memo table. A
-    cell's raw key ([frontend|scheme|machine|workload|scale], see
-    {!Sweep.cell}) is prefixed with [s<format>.v<Result.schema_version>|]
-    and mapped to [<sanitised-key>-<fnv1a-hash>.scdres] inside the store
-    directory — the hash of the raw key keeps distinct keys in distinct
-    files even when sanitisation folds them together, and the version
-    prefix means a codec or framing bump silently invalidates (never reads,
-    never clobbers) old entries.
+    cell's raw key ({!Sweep.key}, which names no code version) is prefixed
+    with [s<format>.v<Result.schema_version>|] and mapped to
+    [<sanitised-key>-<fnv1a-hash>.scdres] inside the store directory — the
+    hash of the raw key keeps distinct keys in distinct files even when
+    sanitisation folds them together, and the version prefix means a codec
+    or framing bump silently invalidates (never reads, never clobbers) old
+    entries.
 
     Every file carries a [sum <fnv1a>] integrity header over its payload,
     so truncation {e and} bit flips are both detected at load time. A file

@@ -2,10 +2,10 @@
 
     Figures 7-10 all read different statistics from the *same* runs, and the
     sensitivity studies reuse baselines across sweep points, so results are
-    memoised per (frontend, scheme, machine, workload, scale) within a
-    process — and, when a {!Store} is attached, across processes: lookups go
-    memory, then disk, then compute, and every computed cell is persisted,
-    so a warm process recomputes nothing.
+    memoised per configuration ({!key}) within a process — and, when a
+    {!Store} is attached, across processes: lookups go memory, then disk,
+    then compute, and every computed cell is persisted, so a warm process
+    recomputes nothing.
 
     The in-memory table is guarded by a mutex so that pool domains (see
     {!Scd_util.Pool}) can share it. Every cached value is a deterministic
@@ -101,12 +101,12 @@ let set_sample_dir ?(interval = 10_000) dir =
    lossy, so the filename carries a hash of the raw key (Store.mangle). *)
 let sanitize_key = Store.mangle
 
-(* Every cell computation funnels through here so that --sample covers the
-   standard sweeps, the custom-config runs and the cache-miss fallbacks
-   alike. The sweep-compute span wraps the whole cell (driver phases nest
-   under it); its calls count against the hit leaves above for the cache
-   hit rate, and its latency histogram is the cell-latency distribution. *)
-let run_driver ~key (config : Driver.run_config) ~source =
+(* Every cell computes through here, so --sample covers them all. The
+   sweep-compute span wraps the whole cell (driver phases nest under it);
+   its calls count against the hit leaves above for the cache hit rate,
+   and its latency histogram is the cell-latency distribution. *)
+let run_driver ~key (config : Driver.run_config) w scale =
+  let source = Scd_workloads.Workload.source w scale in
   Scd_obs.Prof.span "sweep-compute" @@ fun () ->
   match !sample_dir with
   | None -> Driver.run config ~source
@@ -119,48 +119,116 @@ let run_driver ~key (config : Driver.run_config) ~source =
     close_out oc;
     r
 
-let machine_key (m : Config.t) =
-  Printf.sprintf "%s/btb%d/cap%s" m.name m.btb_entries
-    (match m.jte_cap with None -> "inf" | Some c -> string_of_int c)
+(* ------------------------------------------------------------------ *)
+(* Cell keys                                                           *)
+(* ------------------------------------------------------------------ *)
 
-let std_key ~machine ~scale frontend scheme (w : Scd_workloads.Workload.t) =
-  Printf.sprintf "%s|%s|%s|%s|%s"
-    (Frontend.name (Frontend.get frontend))
-    (Scd_core.Scheme.name scheme) (machine_key machine) w.name
-    (Scd_workloads.Workload.scale_name scale)
+(* 64-bit FNV-1a over a prefix-free byte encoding, each int as unsigned
+   LEB128 (seven bits a byte, low first, the top bit set on all but the
+   last). The state lives in [st]'s eight bytes, so a fold allocates nothing. *)
+let[@inline] fnv h b = Int64.(mul (logxor h (of_int (b land 0xff))) 0x100000001b3L)
+
+let fold_int st v =
+  let h = ref (Bytes.get_int64_le st 0) and v = ref v in
+  while !v lsr 7 <> 0 do
+    h := fnv !h (!v lor 0x80);
+    v := !v lsr 7
+  done;
+  Bytes.set_int64_le st 0 (fnv !h !v)
+
+(* A variant folds its constructor's index, then its arguments. *)
+let fold_option fold st = function
+  | None -> fold_int st 0
+  | Some v -> fold_int st 1; fold st v
+
+let fold_geometry st { Cache.size_bytes; ways; block_bytes } =
+  fold_int st size_bytes; fold_int st ways; fold_int st block_bytes
+
+let fold_direction st (d : Direction.kind) =
+  let f = fold_int st in
+  match d with
+  | Static_taken -> f 0
+  | Bimodal { entries } -> f 1; f entries
+  | Gshare { entries; history_bits } -> f 2; f entries; f history_bits
+  | Local { history_entries; pattern_entries } ->
+    f 3; f history_entries; f pattern_entries
+  | Tournament
+      { global_entries; local_history_entries; local_pattern_entries; chooser_entries } ->
+    f 4; f global_entries; f local_history_entries; f local_pattern_entries;
+    f chooser_entries
+
+let fold_indirect st (i : Indirect.scheme) =
+  let f = fold_int st in
+  match i with
+  | Pc_btb -> f 0
+  | Vbbi -> f 1
+  | Ttc { entries } -> f 2; f entries
+  | Ittage { table_entries; tables } -> f 3; f table_entries; f tables
+
+(* Every field of [config] but the frontend and scheme, which the key spells
+   out, and the machine's [name], which configures nothing. The patterns list
+   every field, and warning 9 is an error here: a new field must be folded. *)
+let digest (config : Driver.run_config) =
+  let { Driver.frontend = _; scheme = _; machine; context_switch_interval; multi_table;
+        indirect_override; superinstructions; bytecode_replication; seed } = config in
+  let { Config.name = _; issue_width; branch_penalty; direct_bubble; bop_hit_bubble;
+        rop_gap; bop_policy; direction; btb_entries; btb_ways; btb_replacement; jte_cap;
+        ras_depth; icache; dcache; l2; itlb_entries; dtlb_entries; tlb_penalty;
+        l2_latency; mem_latency } = machine in
+  let st = Bytes.create 8 in
+  Bytes.set_int64_le st 0 0xcbf29ce484222325L;
+  let f = fold_int st in
+  f issue_width; f branch_penalty; f direct_bubble; f bop_hit_bubble; f rop_gap;
+  f (match bop_policy with `Stall -> 0 | `Fall_through -> 1);
+  fold_direction st direction; f btb_entries; f btb_ways;
+  f (match (btb_replacement : Btb.replacement) with Round_robin -> 0 | Lru -> 1);
+  fold_option fold_int st jte_cap; f ras_depth;
+  fold_geometry st icache; fold_geometry st dcache; fold_option fold_geometry st l2;
+  f itlb_entries; f dtlb_entries; f tlb_penalty; f l2_latency; f mem_latency;
+  fold_option fold_int st context_switch_interval; f (Bool.to_int multi_table);
+  fold_option fold_indirect st indirect_override;
+  f (Bool.to_int superinstructions); f (Bool.to_int bytecode_replication);
+  (* all 64 bits, as the low and the high 32 *)
+  f (Int64.to_int seed land 0xffff_ffff);
+  f (Int64.to_int (Int64.shift_right_logical seed 32));
+  Bytes.get_int64_le st 0
+
+(** The key of the cell that co-simulates [w] at [scale] under [config],
+    [frontend|scheme|workload|scale|digest]: the only cell-key builder. *)
+let key ~scale (config : Driver.run_config) (w : Scd_workloads.Workload.t) =
+  let d = digest config in
+  let hex i =
+    "0123456789abcdef".[Int64.(to_int (shift_right_logical d (60 - (4 * i)))) land 15]
+  in
+  String.concat "|"
+    [ Frontend.name config.frontend; Scd_core.Scheme.name config.scheme; w.name;
+      Scd_workloads.Workload.scale_name scale; String.init 16 hex ]
+
+(** One (workload, configuration) point of a sweep: a cache key plus the
+    closure that computes it. Construction is cheap; nothing runs until
+    {!prefetch} (pool fan-out) or a cache miss in {!get}. *)
+type cell = { key : string; compute : unit -> Driver.result }
+
+(** The cell that co-simulates [w] at [scale] (default [Sim]) under [config]. *)
+let of_config ?(scale = Scd_workloads.Workload.Sim) config w =
+  let key = key ~scale config w in
+  { key; compute = (fun () -> run_driver ~key config w scale) }
+
+(** {!of_config} on the default driver options; [frontend] is a registry
+    name ("lua", "js", ...). *)
+let cell ?(machine = Config.simulator) ?scale frontend scheme w =
+  of_config ?scale
+    { Driver.default_config with frontend = Frontend.get frontend; scheme; machine } w
+
+(** Only for the benchmark harness ([perfbench/cells.ml]) until its next
+    change: [std_key] is the key of the matching {!cell}, so the experiments
+    read the cells it stores back; [custom_key] keys its abl-cs cells. *)
+let std_key ~machine ~scale frontend scheme w =
+  (cell ~machine ~scale frontend scheme w).key
 
 let custom_key ~tag (w : Scd_workloads.Workload.t) scale =
   Printf.sprintf "custom|%s|%s|%s" tag w.name
     (Scd_workloads.Workload.scale_name scale)
-
-(** One (workload, configuration) point of a sweep: a cache key plus the
-    closure that computes it. Construction is cheap; nothing runs until
-    {!prefetch} (pool fan-out) or a cache miss in {!get}.
-    [frontend] is a registry name ("lua", "js", ...) so sweeps are
-    data-driven over whatever frontends are registered. *)
-type cell = { key : string; compute : unit -> Driver.result }
-
-let cell ?(machine = Config.simulator) ?(scale = Scd_workloads.Workload.Sim)
-    frontend scheme w =
-  let key = std_key ~machine ~scale frontend scheme w in
-  { key;
-    compute =
-      (fun () ->
-        run_driver ~key
-          { Driver.default_config with frontend = Frontend.get frontend;
-            scheme; machine }
-          ~source:(Scd_workloads.Workload.source w scale));
-  }
-
-(* Runs with non-default driver knobs (multi-table, indirect override,
-   custom machine tweaks) are cached under an explicit tag. *)
-let cell_custom ~tag (config : Driver.run_config) (w : Scd_workloads.Workload.t)
-    scale =
-  let key = custom_key ~tag w scale in
-  { key;
-    compute =
-      (fun () -> run_driver ~key config ~source:(Scd_workloads.Workload.source w scale));
-  }
 
 (** Compute every not-yet-cached cell on the active pool (deduplicated by
     key) and populate the cache. A no-op without a pool or at [--jobs 1],

@@ -28,17 +28,3 @@ let dump_program (program : Asm.program) =
         (Printf.sprintf "  0x%05x: %08x  %s\n" pc word (render ~pc instr)))
     program.instrs;
   Buffer.contents buf
-
-let dump_words ?(base = 0) words =
-  let buf = Buffer.create 1024 in
-  Array.iteri
-    (fun i word ->
-      let pc = base + (4 * i) in
-      let text =
-        match disassemble ~pc word with
-        | Ok s -> s
-        | Error _ -> Printf.sprintf ".word 0x%08x" word
-      in
-      Buffer.add_string buf (Printf.sprintf "  0x%05x: %08x  %s\n" pc word text))
-    words;
-  Buffer.contents buf

@@ -10,7 +10,3 @@ val disassemble : ?pc:int -> int -> (string, string) result
 val dump_program : Asm.program -> string
 (** Multi-line listing of an assembled program: address, encoded word,
     mnemonic and operands, with label names interleaved. *)
-
-val dump_words : ?base:int -> int array -> string
-(** Listing of raw machine words (e.g. from a binary image). Undecodable
-    words render as [.word 0x...]. *)

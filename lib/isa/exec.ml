@@ -55,7 +55,6 @@ let pc t = t.pc
 let halted t = t.halted
 let instructions_retired t = t.retired
 let rop t = (t.rop_d, t.rop_v)
-let rmask t = t.rmask
 
 let load_byte t addr = Option.value ~default:0 (Hashtbl.find_opt t.memory addr)
 let store_byte t addr v = Hashtbl.replace t.memory addr (v land 0xFF)
@@ -82,7 +81,6 @@ let store_width t width addr v =
     store_byte t (addr + 2) (v lsr 16);
     store_byte t (addr + 3) (v lsr 24)
 
-let load_word t addr = load_width t Word addr
 let store_word t addr v = store_width t Word addr v
 
 let signed v = Bits.sign_extend v ~width:32

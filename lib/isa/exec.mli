@@ -24,24 +24,19 @@ type scd_backend = {
   jte_flush : unit -> unit;
 }
 
-val unbounded_backend : unit -> scd_backend
-(** Pure architectural model: a growable table that never evicts. *)
-
 type t
 
 val create : ?scd:scd_backend -> ?tape:Event.tape -> Asm.program -> t
 (** A fresh machine at the program's base address with zeroed registers.
-    [scd] defaults to {!unbounded_backend}. [tape], when given, receives
-    one cell per retired instruction; the caller drains and clears it.
-    Without one the executor builds no event at all. *)
+    [scd] defaults to the pure architectural model: a growable table that
+    never evicts. [tape], when given, receives one cell per retired
+    instruction; the caller drains and clears it. Without one the executor
+    builds no event at all. *)
 
 val reg : t -> int -> int
 (** Architectural register read (32-bit value as a non-negative int). *)
 
 val set_reg : t -> int -> int -> unit
-
-val load_word : t -> int -> int
-(** Read a 32-bit little-endian word from memory (unwritten bytes are 0). *)
 
 val store_word : t -> int -> int -> unit
 
@@ -51,8 +46,6 @@ val instructions_retired : t -> int
 
 val rop : t -> (int * bool)
 (** Current (Rop.d, Rop.v). *)
-
-val rmask : t -> int
 
 type stop_reason = Halted | Step_limit | Decode_fault of { pc : int }
 

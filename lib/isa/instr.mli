@@ -49,10 +49,6 @@ type t =
   | Jte_flush  (** SCD: invalidate all jump-table entries in the BTB. *)
   | Halt  (** Simulation control: stop the machine. *)
 
-val alu_op_name : alu_op -> string
-val cond_name : cond -> string
-val width_name : width -> string
-
 val mnemonic : t -> string
 (** Assembly mnemonic including the [.op] suffix where set. *)
 

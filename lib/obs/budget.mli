@@ -32,8 +32,6 @@ val ok : verdict list -> bool
 (** Every verdict is [Pass] — a budgeted micro [Missing] from the
     measurements fails too, so the table cannot rot silently. *)
 
-val status_name : status -> string
-
 val render : verdict list -> string
 (** One line per verdict under a header: kernel, budget, measured words,
     status. *)

@@ -38,23 +38,20 @@ type ctrl =
 
 (** Access kind codes returned by {!access_kind}. Payloads ({!access_a},
     {!access_b}): [acc_reg] slot, -; [acc_const] fn, index; [acc_global]
-    name_hash, -; [acc_table_slot] id, slot; [acc_str_bytes] id_hash,
-    offset. *)
+    name_hash, -; [acc_table_slot] id, slot; any other code is a string
+    byte access, id_hash, offset. *)
 
 val acc_reg : int
 val acc_const : int
 val acc_global : int
 val acc_table_slot : int
-val acc_str_bytes : int
 
-(** Control kind codes held in [ctrl_kind]; [ctrl_arg] is the branch/jump
-    target or the callee. *)
+(** Control kind codes held in [ctrl_kind] (the two readers test for; the
+    others mark sequential flow, a jump and a return); [ctrl_arg] is the
+    branch/jump target or the callee. *)
 
-val ctrl_seq : int
 val ctrl_branch : int
-val ctrl_jump : int
 val ctrl_call : int
-val ctrl_ret : int
 
 type t = {
   mutable fn : int;  (** Proto id of the currently-executing function. *)

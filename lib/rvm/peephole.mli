@@ -11,8 +11,6 @@
     function — including [FORPREP]/[FORLOOP] — is remapped. Semantics are
     preserved exactly; only the bytecode count drops. *)
 
-val optimize_proto : Bytecode.proto -> Bytecode.proto
-
 val optimize : Bytecode.program -> Bytecode.program
 
 val fused_count : Bytecode.program -> int

@@ -26,10 +26,3 @@ let optimize (program : program) =
       program.protos
   in
   { protos }
-
-let replicated_count (program : program) =
-  Array.fold_left
-    (fun acc (p : proto) ->
-      Array.fold_left (fun acc o -> if o >= 0 then acc + 1 else acc) acc
-        p.opcode_overrides)
-    0 program.protos

@@ -11,6 +11,3 @@
     overrides). *)
 
 val optimize : Bytecode.program -> Bytecode.program
-
-val replicated_count : Bytecode.program -> int
-(** Static instructions carrying a replica id. *)

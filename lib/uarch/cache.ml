@@ -22,9 +22,10 @@ type t = {
          the way scan. Straight-line fetch walks one block for many
          consecutive instructions, so the first compare almost always
          hits; a tag lives in at most one way of its set, so the
-         short-circuit's answer — and every tick and stamp update — is
-         identical to the full scan's. *)
-  mutable tick : int;
+         short-circuit's answer is the full scan's. The MRU slot holds its
+         set's newest stamp, and stamps only order a set's ways, so an MRU
+         hit changes no victim and stamps nothing. *)
+  mutable tick : int;  (* advanced by each scan and fill *)
 }
 
 let invalid_tag = -1
@@ -78,6 +79,7 @@ let rec pick_lru_line t stop victim s =
 (* Everything but an MRU hit: the way scan and the LRU fill. Kept out of
    line so {!access}'s hit path inlines into its callers. *)
 let[@inline never] access_slow t set tag =
+  t.tick <- t.tick + 1;
   let base = set * t.ways in
   let stop = base + t.ways - 1 in
   let slot = find_line t.tags tag stop base in
@@ -99,16 +101,10 @@ let[@inline never] access_slow t set tag =
   end
 
 let[@inline] access t ~addr =
-  t.tick <- t.tick + 1;
   let block = addr lsr t.block_shift in
   let set = block land t.set_mask in
   let tag = block lsr t.set_shift in
-  let m = t.mru.(set) in
-  if t.tags.(m) = tag then begin
-    (* MRU short-circuit: [m] is always a slot of this set, and a tag
-       lives in at most one way, so this is the same line the scan would
-       find. *)
-    t.stamps.(m) <- t.tick;
-    `Hit
-  end
-  else access_slow t set tag
+  (* MRU short-circuit: [mru.(set)] is always a slot of this set, and a
+     tag lives in at most one way, so this is the line the scan would
+     find. *)
+  if t.tags.(t.mru.(set)) = tag then `Hit else access_slow t set tag

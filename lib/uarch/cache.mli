@@ -6,9 +6,9 @@
 
     Each set remembers the way of its last hit or fill. {!access} checks
     that way first and inlines into its caller; the way scan and the LRU
-    fill run out of line. A tag lives in at most one way of its set, so
-    the check changes no answer, tick or stamp: hits, misses and victims
-    are exactly those of a plain scan-and-LRU cache. *)
+    fill run out of line. A tag lives in at most one way of its set, and
+    that way holds the set's newest stamp, so a hit there stamps nothing:
+    hits, misses and victims are those of a plain scan-and-LRU cache. *)
 
 type geometry = {
   size_bytes : int;

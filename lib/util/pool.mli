@@ -16,10 +16,6 @@
 
 type t
 
-val create : jobs:int -> t
-(** [create ~jobs] spawns [max 0 (jobs - 1)] worker domains. [jobs] is
-    clamped below at 1. *)
-
 val jobs : t -> int
 (** Parallelism width the pool was created with (including the caller). *)
 
@@ -35,10 +31,8 @@ val run : t -> (unit -> 'a) list -> 'a list
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] is [run t (List.map (fun x () -> f x) xs)]. *)
 
-val shutdown : t -> unit
-(** Join the worker domains. The pool must be idle; using it afterwards
-    raises. Idempotent. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] creates a pool, applies [f], and shuts the pool
-    down even if [f] raises. *)
+(** [with_pool ~jobs f] spawns [max 0 (jobs - 1)] worker domains ([jobs]
+    is clamped below at 1), applies [f] to the pool, and joins the domains
+    even if [f] raises, so no pool outlives its domains; using the pool
+    after [f] returns raises. *)

@@ -15,8 +15,6 @@ let mean = function
   | [] -> invalid_arg "Summary.mean: empty"
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let percent_change ~baseline ~measured = (measured -. baseline) /. baseline *. 100.0
-
 let speedup_percent ~baseline ~cycles = ((baseline /. cycles) -. 1.0) *. 100.0
 
 let per_kilo ~count ~total =

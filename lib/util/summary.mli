@@ -7,9 +7,6 @@ val geomean : float list -> float
 val mean : float list -> float
 (** Arithmetic mean. Raises [Invalid_argument] on an empty list. *)
 
-val percent_change : baseline:float -> measured:float -> float
-(** [(measured - baseline) / baseline * 100]. *)
-
 val speedup_percent : baseline:float -> cycles:float -> float
 (** Speedup of a run over a baseline in percent: [baseline/cycles - 1] times
     100. Positive means faster than the baseline. *)

@@ -63,6 +63,22 @@ let test_fig7_cold_runs ~jobs () =
           : Scd_experiments.Runner.rendered list));
   check_int "cells co-simulated" 88 (Scd_cosim.Driver.runs () - runs0)
 
+(* abl-cs declares its baselines and its never-flush column on fig7's
+   Lua configurations, so after a cold fig7 only its three flushing
+   columns are co-simulated: 3 intervals x 11 workloads = 33 runs. *)
+let test_abl_cs_after_fig7_runs () =
+  Scd_experiments.Sweep.clear ();
+  Scd_util.Pool.with_pool ~jobs:1 (fun pool ->
+      let run e =
+        ignore
+          (Scd_experiments.Runner.run_all ~pool ~quick:true ~csv:false [ e ]
+            : Scd_experiments.Runner.rendered list)
+      in
+      run Scd_experiments.Fig7.experiment;
+      let runs0 = Scd_cosim.Driver.runs () in
+      run Scd_experiments.Ablations.context_switch_experiment;
+      check_int "abl-cs cells co-simulated" 33 (Scd_cosim.Driver.runs () - runs0))
+
 (* Deeper checks on the structure of the central figures. *)
 
 let test_fig7_shape () =
@@ -206,6 +222,169 @@ let test_store_cold_then_warm_zero_runs () =
       check_bool "store entries decode" true (ok > 0);
       check_int "no corrupt entries" 0 (List.length bad))
 
+(* ------------------------------------------------------------------ *)
+(* Cell keys                                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Sweep = Scd_experiments.Sweep
+module Config = Scd_uarch.Config
+module Driver = Scd_cosim.Driver
+
+let test_scale = Scd_workloads.Workload.Test
+let fibo = Scd_workloads.Fibo.workload
+let key_of config = (Sweep.of_config ~scale:test_scale config fibo).key
+
+(* Equal configurations built differently name one cell. *)
+let test_equal_configs_share_key () =
+  let check_key = Alcotest.(check string) in
+  List.iter
+    (fun vm ->
+      List.iter
+        (fun scheme ->
+          let key = (Sweep.cell ~scale:test_scale vm scheme fibo).key in
+          check_key "a BTB resized to its own size" key
+            (Sweep.cell ~machine:(Config.with_btb_entries Config.simulator 256)
+               ~scale:test_scale vm scheme fibo)
+              .key;
+          check_key "Sweep.cell and Sweep.of_config" key
+            (key_of
+               { Driver.default_config with
+                 frontend = Scd_cosim.Frontend.get vm; scheme });
+          check_key "the benchmark's std_key" key
+            (Sweep.std_key ~machine:Config.simulator ~scale:test_scale vm scheme
+               fibo))
+        Scd_core.Scheme.all)
+    [ "lua"; "js" ]
+
+(* Every copy of [c] that differs from it in one field of the run
+   configuration or of its machine: each constructor of a variant field
+   and each field of a nested record or constructor. The record patterns
+   list every field, so a new one does not compile until it has mutants
+   here. *)
+let mutants (c : Driver.run_config) =
+  let { Driver.frontend; scheme; machine = m; context_switch_interval;
+        multi_table; indirect_override; superinstructions;
+        bytecode_replication; seed } =
+    c
+  in
+  let { Config.name = _; issue_width; branch_penalty; direct_bubble;
+        bop_hit_bubble; rop_gap; bop_policy; direction; btb_entries;
+        btb_ways; btb_replacement; jte_cap; ras_depth; icache; dcache; l2;
+        itlb_entries; dtlb_entries; tlb_penalty; l2_latency; mem_latency } =
+    m
+  in
+  let int_option = function None -> [ Some 1 ] | Some n -> [ None; Some (n + 1) ] in
+  let geometry ({ Scd_uarch.Cache.size_bytes; ways; block_bytes } as g) =
+    [ { g with size_bytes = size_bytes + 1 }; { g with ways = ways + 1 };
+      { g with block_bytes = block_bytes + 1 } ]
+  in
+  let directions : Scd_uarch.Direction.kind list =
+    List.filter (( <> ) direction)
+      [ Static_taken; Bimodal { entries = 1 };
+        Gshare { entries = 1; history_bits = 1 };
+        Local { history_entries = 1; pattern_entries = 1 };
+        Tournament
+          { global_entries = 1; local_history_entries = 1;
+            local_pattern_entries = 1; chooser_entries = 1 } ]
+    @
+    match direction with
+    | Static_taken -> []
+    | Bimodal { entries } -> [ Bimodal { entries = entries + 1 } ]
+    | Gshare ({ entries; history_bits } as d) ->
+      [ Gshare { d with entries = entries + 1 };
+        Gshare { d with history_bits = history_bits + 1 } ]
+    | Local ({ history_entries; pattern_entries } as d) ->
+      [ Local { d with history_entries = history_entries + 1 };
+        Local { d with pattern_entries = pattern_entries + 1 } ]
+    | Tournament
+        ({ global_entries; local_history_entries; local_pattern_entries;
+           chooser_entries } as d) ->
+      [ Tournament { d with global_entries = global_entries + 1 };
+        Tournament { d with local_history_entries = local_history_entries + 1 };
+        Tournament { d with local_pattern_entries = local_pattern_entries + 1 };
+        Tournament { d with chooser_entries = chooser_entries + 1 } ]
+  in
+  let indirects : Scd_uarch.Indirect.scheme option list =
+    List.filter (( <> ) indirect_override)
+      [ None; Some Pc_btb; Some Vbbi; Some (Ttc { entries = 1 });
+        Some (Ittage { table_entries = 1; tables = 1 }) ]
+    @
+    match indirect_override with
+    | None | Some (Pc_btb | Vbbi) -> []
+    | Some (Ttc { entries }) -> [ Some (Ttc { entries = entries + 1 }) ]
+    | Some (Ittage ({ table_entries; tables } as i)) ->
+      [ Some (Ittage { i with table_entries = table_entries + 1 });
+        Some (Ittage { i with tables = tables + 1 }) ]
+  in
+  let machines =
+    [ { m with issue_width = issue_width + 1 };
+      { m with branch_penalty = branch_penalty + 1 };
+      { m with direct_bubble = direct_bubble + 1 };
+      { m with bop_hit_bubble = bop_hit_bubble + 1 };
+      { m with rop_gap = rop_gap + 1 };
+      { m with
+        bop_policy =
+          (match bop_policy with `Stall -> `Fall_through | `Fall_through -> `Stall) };
+      { m with btb_entries = btb_entries + 1 };
+      { m with btb_ways = btb_ways + 1 };
+      { m with
+        btb_replacement =
+          (match btb_replacement with Round_robin -> Lru | Lru -> Round_robin) };
+      { m with ras_depth = ras_depth + 1 };
+      { m with itlb_entries = itlb_entries + 1 };
+      { m with dtlb_entries = dtlb_entries + 1 };
+      { m with tlb_penalty = tlb_penalty + 1 };
+      { m with l2_latency = l2_latency + 1 };
+      { m with mem_latency = mem_latency + 1 } ]
+    @ List.map (fun direction -> { m with direction }) directions
+    @ List.map (fun jte_cap -> { m with jte_cap }) (int_option jte_cap)
+    @ List.map (fun icache -> { m with icache }) (geometry icache)
+    @ List.map (fun dcache -> { m with dcache }) (geometry dcache)
+    @ List.map
+        (fun l2 -> { m with l2 })
+        (match l2 with
+         | None -> [ Some icache ]
+         | Some g -> None :: List.map Option.some (geometry g))
+  in
+  List.map
+    (fun vm -> { c with frontend = Scd_cosim.Frontend.get vm })
+    (List.filter (( <> ) (Scd_cosim.Frontend.name frontend)) [ "lua"; "js" ])
+  @ List.map (fun scheme -> { c with scheme })
+      (List.filter (( <> ) scheme) Scd_core.Scheme.all)
+  @ List.map (fun machine -> { c with machine }) machines
+  @ List.map
+      (fun context_switch_interval -> { c with context_switch_interval })
+      (int_option context_switch_interval)
+  @ [ { c with multi_table = not multi_table };
+      { c with superinstructions = not superinstructions };
+      { c with bytecode_replication = not bytecode_replication } ]
+  @ List.map (fun indirect_override -> { c with indirect_override }) indirects
+  @ List.map
+      (fun bit -> { c with seed = Int64.logxor seed (Int64.shift_left 1L bit) })
+      [ 0; 31; 32; 63 ]
+
+(* A random configuration: a paper machine and a random seed, then a walk
+   of up to a dozen random one-field changes. *)
+let arbitrary_run_config =
+  let open QCheck.Gen in
+  QCheck.make ~print:key_of
+    (let* machine = oneofl [ Config.simulator; Config.fpga; Config.high_end ] in
+     let* seed = ui64 in
+     let+ steps = list_size (int_bound 12) nat in
+     List.fold_left
+       (fun c i ->
+         let ms = mutants c in
+         List.nth ms (i mod List.length ms))
+       { Driver.default_config with machine; seed }
+       steps)
+
+let prop_one_field_moves_key =
+  QCheck.Test.make ~name:"changing any one field changes the key" ~count:300
+    arbitrary_run_config (fun c ->
+      let key = key_of c in
+      key_of { c with machine = { c.machine with name = "renamed" } } = key
+      && List.for_all (fun c' -> key_of c' <> key) (mutants c))
+
 let test_registry () =
   check_int "13 published + 7 ablation experiments" 20
     (List.length Scd_experiments.Registry.all);
@@ -229,6 +408,14 @@ let () =
             (test_fig7_cold_runs ~jobs:1);
           Alcotest.test_case "fig7 cold, 2 jobs: 88 runs" `Slow
             (test_fig7_cold_runs ~jobs:2);
+          Alcotest.test_case "abl-cs after a cold fig7: 33 runs" `Slow
+            test_abl_cs_after_fig7_runs;
+        ] );
+      ( "keys",
+        [
+          Alcotest.test_case "equal configurations share a key" `Quick
+            test_equal_configs_share_key;
+          QCheck_alcotest.to_alcotest prop_one_field_moves_key;
         ] );
       ( "cache",
         [

@@ -581,7 +581,14 @@ let test_telemetry_chrome_trace_validates () =
       let tel, _ = run_with_telemetry ?context_switch_interval:(Some 20_000) scheme in
       let json = Telemetry.to_chrome_trace tel in
       (match Scd_obs.Json.parse json with
-      | Ok _ -> ()
+      | Ok doc ->
+        Alcotest.(check (option string))
+          "otherData names the simulated timeline"
+          (Some "simulated cycles (not host time)")
+          (Option.bind
+             (Option.bind (Scd_obs.Json.member "otherData" doc)
+                (Scd_obs.Json.member "timeline"))
+             Scd_obs.Json.get_string)
       | Error e ->
         Alcotest.fail
           (Printf.sprintf "%s trace JSON invalid: %s"
